@@ -205,6 +205,10 @@ def _run_compute(config: RunConfig) -> tuple[str, int]:
         from .search import compute_with_witness
 
         baseline = config.baseline if config.baseline is not None else 1
+        if not 2 <= config.h <= k:
+            raise _UsageError(f"compute needs 2 <= --h <= --k, got --h {config.h}")
+        if baseline < 1:
+            raise _UsageError(f"compute needs --baseline >= 1, got {baseline}")
         value, wit = compute_with_witness(k, config.h, baseline)
         out = {"k": k, "h": config.h, "baseline": baseline, "value": value}
         if config.witness and wit is not None:

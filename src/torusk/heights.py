@@ -24,11 +24,6 @@ from torusk.lattice import NiceSet, UnimodularMatrix, shear_power
 ROT = UnimodularMatrix(0, 1, -1, 0)  # quarter turn: (m, n) -> (n, -m)
 
 
-def floor_div(a: int, b: int) -> int:
-    """floor(a / b) for b > 0 (Python's // already floors)."""
-    return a // b
-
-
 def ceil_div(a: int, b: int) -> int:
     """ceil(a / b) for b > 0."""
     return -((-a) // b)
@@ -68,7 +63,7 @@ def verify_height(k: int, h: int) -> HeightVerdict:
         if h * h <= k - x0:  # h <= (k - x0) / h
             return HeightVerdict(k, h, False, (x0, None, None))
         for y in range(1, h + 1):
-            for x in range(h, floor_div(x0 * y + k, h) + 1):
+            for x in range(h, (x0 * y + k) // h + 1):
                 if gcd(x, y) != 1:
                     continue
                 z = min(y, x - y)
@@ -77,7 +72,7 @@ def verify_height(k: int, h: int) -> HeightVerdict:
                 w = 1
                 for yp in range(1, h + 1):
                     lo = ceil_div(yp * (x0 - h) - k, h)
-                    hi = floor_div(yp * (x0 - h) + k, h)
+                    hi = (yp * (x0 - h) + k) // h
                     for xp in range(lo, hi + 1):
                         if gcd(xp, yp) != 1:
                             continue
@@ -132,7 +127,7 @@ def reduce_height_sqrt2k(q: NiceSet) -> NiceSet:
         tops = [m for m, n in current.points if n == h]
         x0 = min(tops)
         # shear exponent centering x0: x0 + t*h in [-h/2, h/2]
-        t = -floor_div(2 * x0 + h, 2 * h)
+        t = -((2 * x0 + h) // (2 * h))
         sheared = lattice.apply_matrix(current, shear_power(t))
         assert abs(x0 + t * h) * 2 <= h
         rotated = lattice.apply_matrix(sheared, ROT)

@@ -9,6 +9,17 @@ recursion therefore picks row endpoints (a, b) from the top row down,
 tightening per-row admissible intervals as it goes, and prunes with
 window-capped coprime-count upper bounds.
 
+Two monotonicity facts keep the per-pair work small.  With b >= a and
+i >= 1, row i's lower end under row ell's choice [a, b] is
+max(L[i], ceil((b*i - k)/ell)), a function of b alone, and its upper end
+min(U[i], floor((a*i + k)/ell)) is a function of a alone; both are
+computed once per node or per a, not per pair.  And since the lower ends
+only grow with b, taking them at b = a, plus row ell's window maximum
+over [a, U[ell]], bounds every pair with that a, so one comparison can
+discard the whole b loop.  Every prune drops only candidates whose bound
+is <= N, so the recursion visits the same improving paths in the same
+order as a plain per-pair scan.
+
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
 height and are skipped, the rest are searched.
@@ -20,8 +31,11 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .closedform import best_low_height_set, height_le3_max
-from .heights import ceil_div, floor_div, verify_height
+from .heights import verify_height
 from .lattice import NiceSet
+
+# (w, prefix, sparse) for one row; see IntervalTables.row
+Row = tuple[int, list[int], list[list[int]]]
 
 
 class IntervalTables:
@@ -31,66 +45,75 @@ class IntervalTables:
     window_max(i, a, b) is the maximum of count(i, a', b') over
     subintervals [a', b'] of [a, b] with (b' - a') * i <= k; it upper
     bounds the contribution of row i to any k-nice set confined to
-    [a, b].  Tables are built lazily per row and hold for 0 <= a <= b <= k.
+    [a, b].  Tables are built lazily per row and hold for i >= 1 and
+    0 <= a <= b <= k.  count and window_max validate their arguments;
+    the search reads the raw tables through row().
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         self.k = k
-        self._prefix: dict[int, list[int]] = {}
-        self._sparse: dict[int, list[list[int]]] = {}
+        self._rows: dict[int, Row] = {}
 
-    def _prefix_for(self, i: int) -> list[int]:
-        pre = self._prefix.get(i)
-        if pre is None:
-            pre = [0] * (self.k + 2)
+    def row(self, i: int) -> Row:
+        """(w, prefix, sparse) for row i >= 1, unchecked.
+
+        w = k // i is the widest admissible window minus one; prefix[z] is
+        the number of coprimes to i in [0, z), for z in 0..k+1; sparse[j][t]
+        is the largest count over a window [a', a' + w] with a' in
+        [t, t + 2**j), so a range maximum of window starts is two reads.
+        """
+        entry = self._rows.get(i)
+        if entry is None:
+            k = self.k
+            pre = [0] * (k + 2)
             acc = 0
-            for z in range(self.k + 1):
+            for z in range(k + 1):
                 pre[z] = acc
                 if gcd(z, i) == 1:
                     acc += 1
-            pre[self.k + 1] = acc
-            self._prefix[i] = pre
-        return pre
-
-    def count(self, i: int, a: int, b: int) -> int:
-        if not (0 <= a <= b <= self.k):
-            raise ValueError(f"bad interval [{a}, {b}] for k = {self.k}")
-        pre = self._prefix_for(i)
-        return pre[b + 1] - pre[a]
-
-    def _sparse_for(self, i: int) -> list[list[int]]:
-        # g[a'] = count over the maximal admissible window starting at a';
-        # doubling table over g gives O(1) range maxima.
-        table = self._sparse.get(i)
-        if table is None:
-            w = self.k // i
-            pre = self._prefix_for(i)
-            g = [pre[a + w + 1] - pre[a] for a in range(self.k - w + 1)]
-            table = [g]
+            pre[k + 1] = acc
+            w = k // i
+            g = [pre[a + w + 1] - pre[a] for a in range(k - w + 1)]
+            sparse = [g]
             span = 1
             while 2 * span <= len(g):
-                prev = table[-1]
-                table.append(
+                prev = sparse[-1]
+                sparse.append(
                     [max(prev[t], prev[t + span]) for t in range(len(g) - 2 * span + 1)]
                 )
                 span *= 2
-            self._sparse[i] = table
-        return table
+            entry = self._rows[i] = (w, pre, sparse)
+        return entry
 
-    def window_max(self, i: int, a: int, b: int) -> int:
+    def _check(self, i: int, a: int, b: int) -> None:
+        if i < 1:
+            raise ValueError(f"row index must be >= 1, got {i}")
         if not (0 <= a <= b <= self.k):
             raise ValueError(f"bad interval [{a}, {b}] for k = {self.k}")
-        w = self.k // i
-        if b - a <= w:
-            # the whole interval is admissible and dominates subintervals
-            return self.count(i, a, b)
-        table = self._sparse_for(i)
-        lo, hi = a, b - w
-        j = (hi - lo + 1).bit_length() - 1
-        row = table[j]
-        return max(row[lo], row[hi - (1 << j) + 1])
+
+    def count(self, i: int, a: int, b: int) -> int:
+        self._check(i, a, b)
+        pre = self.row(i)[1]
+        return pre[b + 1] - pre[a]
+
+    def window_max(self, i: int, a: int, b: int) -> int:
+        self._check(i, a, b)
+        return _window_max(self.row(i), a, b)
+
+
+def _window_max(row: Row, lo: int, hi: int) -> int:
+    """window_max over [lo, hi] for a row returned by IntervalTables.row."""
+    w, pre, sparse = row
+    if hi - lo <= w:
+        # the whole interval is admissible and dominates subintervals
+        return pre[hi + 1] - pre[lo]
+    last = hi - w
+    j = (last - lo + 1).bit_length() - 1
+    level = sparse[j]
+    x, y = level[lo], level[last - (1 << j) + 1]
+    return x if x > y else y
 
 
 @dataclass(frozen=True)
@@ -127,40 +150,62 @@ def _backtrack(
         best[0] = list(choices)
         return n_gt + 1
     L, U = frame.lower, frame.upper
+    rows = [None] + [tables.row(i) for i in range(1, ell)]
     if ell < h:
         # option: leave row ell empty (the top row h must stay occupied)
         np = n_gt + 1
         for i in range(1, ell):
             if L[i] <= U[i]:
-                np += tables.window_max(i, L[i], U[i])
+                np += _window_max(rows[i], L[i], U[i])
         if np > N:
             N = _backtrack(
                 k, h, N,
                 SearchFrame(ell - 1, n_gt, L[:ell], U[:ell]),
                 tables, choices, best,
             )
-    if L[ell] > U[ell]:
+    lo_ell, hi_ell = L[ell], U[ell]
+    if lo_ell > hi_ell:
         return N
-    for a in range(L[ell], U[ell] + 1):
-        if gcd(a, ell) != 1:
+    # Choosing [a, b] for row ell confines row i < ell to
+    # [max(L[i], ceil((b*i - k)/ell)), min(U[i], floor((a*i + k)/ell))];
+    # the bounds from the other endpoint never bind because b >= a and
+    # i >= 1.  So lower ends depend only on b (tabled once per node as
+    # lows[b]) and upper ends only on a (computed once per a).  They are
+    # lists, not tuples: dead tuples of these sizes stay on CPython's
+    # tuple free lists and would add megabytes to the peak RSS.
+    row_ell = tables.row(ell)
+    w_ell, pre_ell = row_ell[0], row_ell[1]
+    lows: dict[int, list[int]] = {}
+    for b in range(lo_ell, hi_ell + 1):
+        if gcd(b, ell) == 1:
+            lows[b] = [0] + [max(L[i], -((k - b * i) // ell)) for i in range(1, ell)]
+    base = n_gt + 1
+    for a in range(lo_ell, hi_ell + 1):
+        if a not in lows:
             continue
-        for b in range(a, U[ell] + 1):
-            if gcd(b, ell) != 1:
+        upper = [0] + [min(U[i], (a * i + k) // ell) for i in range(1, ell)]
+        # Per-a bound, valid for every b >= a: lows[b][i] >= lows[a][i]
+        # shrinks row i's interval, and row ell's count over an admissible
+        # [a, b] is at most its window maximum over [a, U[ell]].
+        lower_a = lows[a]
+        bound = base + _window_max(row_ell, a, hi_ell)
+        for i in range(1, ell):
+            lo, hi = lower_a[i], upper[i]
+            if lo <= hi:
+                bound += _window_max(rows[i], lo, hi)
+        if bound <= N:
+            continue
+        # (b - a) * ell <= k, i.e. b <= a + k // ell
+        for b in range(a, min(hi_ell, a + w_ell) + 1):
+            lower = lows.get(b)
+            if lower is None:
                 continue
-            if (b - a) * ell > k:
-                continue
-            row_count = tables.count(ell, a, b)
-            np = n_gt + row_count + 1
-            lower = [0] * ell
-            upper = [0] * ell
-            feasible_rows = True
+            row_count = pre_ell[b + 1] - pre_ell[a]
+            np = base + row_count
             for i in range(1, ell):
-                lo = max(L[i], ceil_div(a * i - k, ell), ceil_div(b * i - k, ell))
-                hi = min(U[i], floor_div(a * i + k, ell), floor_div(b * i + k, ell))
-                lower[i] = lo
-                upper[i] = hi
+                lo, hi = lower[i], upper[i]
                 if lo <= hi:
-                    np += tables.window_max(i, lo, hi)
+                    np += _window_max(rows[i], lo, hi)
             if np <= N:
                 continue
             choices.append((ell, a, b))

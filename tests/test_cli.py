@@ -57,6 +57,22 @@ def test_compute_single_height(capsys):
     assert payload["baseline"] == 26
 
 
+def test_compute_single_height_rejects_bad_height(capsys):
+    code, out, err = run_cli(capsys, "compute", "--k", "5", "--h", "1")
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_compute_single_height_rejects_bad_baseline(capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "--k", "5", "--h", "3", "--baseline", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+
+
 def test_oracle_text(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--k", "5")
     assert code == 0

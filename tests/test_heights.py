@@ -7,7 +7,6 @@ from torusk.closedform import best_low_height_set, construct_extremal
 from torusk.heights import (
     ROT,
     ceil_div,
-    floor_div,
     reduction_range,
     reduce_height_sqrt2k,
     sweep,
@@ -17,8 +16,6 @@ from torusk.lattice import apply_matrix, shear_power
 
 
 def test_floor_ceil_div():
-    assert floor_div(7, 2) == 3
-    assert floor_div(-7, 2) == -4
     assert ceil_div(7, 2) == 4
     assert ceil_div(-7, 2) == -3
     assert ceil_div(6, 3) == 2

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from torusk import lattice
 from torusk.closedform import pattern_or_table
+from torusk.heights import verify_height
+from torusk.oracle import brute_force_max
 from torusk.search import IntervalTables, compute, compute_with_witness, max_size
 
 
@@ -51,6 +53,12 @@ class TestIntervalTables:
             tables.count(2, -1, 5)
         with pytest.raises(ValueError):
             tables.count(2, 3, 11)
+        with pytest.raises(ValueError):
+            tables.count(0, 0, 5)
+        with pytest.raises(ValueError):
+            tables.window_max(0, 0, 5)
+        with pytest.raises(ValueError):
+            tables.window_max(-2, 0, 10)
 
 
 def test_compute_improves_over_weak_baseline():
@@ -125,3 +133,26 @@ def test_max_size_extremal_witness_height():
     # the only way to 30 at k = 24 is higher than 3
     out = max_size(24)
     assert lattice.height(out.witness) > 3
+
+
+@pytest.mark.parametrize("k", list(range(3, 13)))
+def test_fixed_height_search_matches_oracle(k):
+    # the flat k + 2 stands for heights 0 and 1; above that, searching
+    # every height up to h must reach the brute-force maximum capped at h
+    for h in range(2, isqrt(2 * k) + 1):
+        searched = max(compute(k, hp, 1) for hp in range(2, h + 1))
+        assert max(k + 2, searched) == brute_force_max(k, h_cap=h).max_size
+
+
+def test_skipped_heights_never_improve():
+    # max_size skips heights that verify_height certifies; searching them
+    # anyway must not beat N(k)
+    skipped = 0
+    for k in range(3, 81):
+        n_k = pattern_or_table(k).value
+        tables = IntervalTables(k)
+        for h in range(2, isqrt(2 * k) + 1):
+            if verify_height(k, h).verified:
+                skipped += 1
+                assert compute(k, h, n_k, tables) == n_k, (k, h)
+    assert skipped > 0
