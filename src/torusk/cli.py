@@ -196,11 +196,8 @@ def _run_compute(config: RunConfig) -> tuple[str, int]:
     k = config.k
     if k is None or k < 1:
         raise _UsageError("compute needs --k >= 1")
-    if k < 3:
-        # too small for the pipeline; closed form answers directly
-        pv = pattern_or_table(k)
-        out = {"k": k, "max_size": pv.value, "per_height": []}
-        return json.dumps(out, sort_keys=True) + "\n", 0
+    if config.baseline is not None and config.h is None:
+        raise _UsageError("compute --baseline needs --h")
     if config.h is not None:
         from .search import compute_with_witness
 
@@ -213,6 +210,11 @@ def _run_compute(config: RunConfig) -> tuple[str, int]:
         out = {"k": k, "h": config.h, "baseline": baseline, "value": value}
         if config.witness and wit is not None:
             out["witness"] = [[m, n] for (m, n) in wit.points]
+        return json.dumps(out, sort_keys=True) + "\n", 0
+    if k < 3:
+        # too small for the pipeline; closed form answers directly
+        pv = pattern_or_table(k)
+        out = {"k": k, "max_size": pv.value, "per_height": []}
         return json.dumps(out, sort_keys=True) + "\n", 0
     outcome = max_size(k)
     payload = outcome.to_json_dict()

@@ -14,12 +14,14 @@ statements about gamma.
 
 Two solution paths, both ending in exact rational certificates:
 
+* the default for every ell: a floating-point solve (HiGHS) proposes an
+  active set, the vertex and multipliers are reconstructed by sparse exact
+  elimination (every row has two nonzeros), and the pair is accepted only
+  if primal feasibility, dual feasibility and equality of objectives all
+  verify exactly; any failure falls back to the simplex path;
 * exact simplex with constraint generation over the O(ell^2) pair
-  constraints (the only path used for small ell);
-* for larger ell, a floating-point solve proposes an active set, the vertex
-  and multipliers are reconstructed in exact arithmetic, and the pair is
-  accepted only if primal feasibility, dual feasibility and equality of
-  objectives all verify exactly; any failure falls back to the simplex path.
+  constraints: the fallback, method="simplex", and the independent oracle
+  the tests compare the default path against.
 
 A separate, solver-independent upper bound comes from explicit matrices
 feasible for the dual of the relaxed program: dual_matrix(ell) has value
@@ -45,7 +47,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 LP_SIZE_BUDGET = 256  # largest ell the solver will accept
-SIMPLEX_CUTOVER = 24  # exact simplex alone up to here; guided path beyond
 _GEN_BATCH = 2  # violated rows added per round, as a multiple of ell
 
 # Row keys: ("link", i) is sigma_i - tau_i <= 0;
@@ -77,17 +78,13 @@ def _objective(ell: int):
     return [-r for r in rhos] + list(rhos)
 
 
-def _row(ell: int, key: RowKey) -> tuple[list[Fraction], Fraction]:
-    coeffs = [ZERO] * (2 * ell)
+def _row_entries(ell: int, key: RowKey) -> tuple[dict[int, int], int]:
+    """The row's two nonzero coefficients by column, and its right-hand side."""
     if key[0] == "link":
         i = key[1]
-        coeffs[i - 1] = ONE
-        coeffs[ell + i - 1] = -ONE
-        return coeffs, ZERO
+        return {i - 1: 1, ell + i - 1: -1}, 0
     _, i, j, s = key
-    coeffs[ell + j - 1] = Fraction(s * i)
-    coeffs[i - 1] = Fraction(-s * j)
-    return coeffs, ONE
+    return {ell + j - 1: s * i, i - 1: -s * j}, 1
 
 
 def _pair_value(sigma, tau, i, j) -> Fraction:
@@ -124,10 +121,9 @@ def check_dual(ell: int, witness: LpDualWitness) -> str | None:
     for key, y in witness.multipliers:
         if y < 0:
             return f"negative multiplier on {key}"
-        coeffs, rhs = _row(ell, key)
-        for idx, a in enumerate(coeffs):
-            if a:
-                col[idx] += y * a
+        entries, rhs = _row_entries(ell, key)
+        for idx, a in entries.items():
+            col[idx] += y * a
         value += y * rhs
     cvec = _objective(ell)
     for idx in range(2 * ell):
@@ -174,12 +170,9 @@ def _solve_by_generation(ell: int) -> GammaValue:
     work += [("pair", i, i, 1) for i in range(1, ell + 1)]
     known = set(work)
     while True:
-        rows, rhs = [], []
-        for key in work:
-            coeffs, r = _row(ell, key)
-            rows.append(coeffs)
-            rhs.append(r)
-        sol = solve_max(cvec, rows, rhs)
+        rows = [_row_entries(ell, key) for key in work]
+        dense = [[entries.get(idx, 0) for idx in range(2 * ell)] for entries, _ in rows]
+        sol = solve_max(cvec, dense, [b for _, b in rows])
         sigma = sol.x[:ell]
         tau = sol.x[ell:]
         violated: list[tuple[Fraction, RowKey]] = []
@@ -235,25 +228,16 @@ def _solve_guided(ell: int) -> GammaValue | None:
     from scipy.sparse import csr_matrix
 
     keys = list(_all_row_keys(ell))
+    rows = [_row_entries(ell, key) for key in keys]
     n = 2 * ell
-    data, ri, ci, rhs_f = [], [], [], []
-    for r, key in enumerate(keys):
-        if key[0] == "link":
-            i = key[1]
-            cols = ((i - 1, 1.0), (ell + i - 1, -1.0))
-            rhs_f.append(0.0)
-        else:
-            _, i, j, s = key
-            cols = ((ell + j - 1, float(s * i)), (i - 1, float(-s * j)))
-            rhs_f.append(1.0)
-        for cidx, v in cols:
-            ri.append(r)
-            ci.append(cidx)
-            data.append(v)
-    a_ub = csr_matrix((data, (ri, ci)), shape=(len(keys), n))
+    data = [float(a) for entries, _ in rows for a in entries.values()]
+    cols = [idx for entries, _ in rows for idx in entries]
+    # every row has exactly two entries, so row r owns data[2r:2r + 2]
+    a_ub = csr_matrix((data, cols, range(0, len(cols) + 1, 2)), shape=(len(keys), n))
+    rhs_f = np.array([float(b) for _, b in rows])
     cvec = _objective(ell)
     c_f = np.array([-float(v) for v in cvec])  # linprog minimizes
-    res = linprog(c_f, A_ub=a_ub, b_ub=np.array(rhs_f), bounds=(0, None), method="highs")
+    res = linprog(c_f, A_ub=a_ub, b_ub=rhs_f, bounds=(0, None), method="highs")
     if not res.success:
         return None
 
@@ -261,22 +245,19 @@ def _solve_guided(ell: int) -> GammaValue | None:
     slacks = res.slack
     support = [r for r in range(len(keys)) if abs(marginals[r]) > 1e-9]
     tight = [r for r in range(len(keys)) if abs(slacks[r]) < 1e-7]
-    pos = [idx for idx in range(n) if res.x[idx] > 1e-9]
+    pos = {idx for idx in range(n) if res.x[idx] > 1e-9}
     if not support or not pos:
         return None
 
-    # Exact vertex: active rows restricted to the positive coordinates.
-    rows_int, rhs_int = [], []
-    for r in tight:
-        coeffs, rhs_r = _row(ell, keys[r])
-        rows_int.append([coeffs[idx] for idx in pos])
-        rhs_int.append(rhs_r)
-    xsol = solve_rational_system(rows_int, rhs_int)
-    if xsol is None:
+    # Exact vertex: active rows restricted to the positive coordinates; the
+    # other coordinates then appear in no row and come back as zero.
+    x = solve_rational_system(
+        [{idx: a for idx, a in rows[r][0].items() if idx in pos} for r in tight],
+        [rows[r][1] for r in tight],
+        n,
+    )
+    if x is None:
         return None
-    x = [ZERO] * n
-    for idx, v in zip(pos, xsol):
-        x[idx] = v
     sigma, tau = x[:ell], x[ell:]
     if check_primal(ell, sigma, tau) is not None:
         return None
@@ -284,23 +265,18 @@ def _solve_guided(ell: int) -> GammaValue | None:
 
     # Exact multipliers on the guessed support: y^T A = c on the coordinates
     # where the vertex is nonzero (complementary slackness).
-    eq_cols = [idx for idx in range(n) if x[idx] != 0]
-    mat = []
-    rhs_dual = []
-    for idx in eq_cols:
-        row = []
-        for r in support:
-            coeffs, _ = _row(ell, keys[r])
-            row.append(coeffs[idx])
-        mat.append(row)
-        rhs_dual.append(cvec[idx])
-    ysol = solve_rational_system(mat, rhs_dual)
+    eqs: dict[int, dict[int, int]] = {idx: {} for idx in range(n) if x[idx] != 0}
+    for t, r in enumerate(support):
+        for idx, a in rows[r][0].items():
+            if idx in eqs:
+                eqs[idx][t] = a
+    ysol = solve_rational_system(list(eqs.values()), [cvec[idx] for idx in eqs], len(support))
     if ysol is None:
         return None
     multipliers = tuple(
         (keys[r], y) for r, y in zip(support, ysol) if y != 0
     )
-    value = sum((y * _row(ell, key)[1] for key, y in multipliers), ZERO)
+    value = sum((y * rows[r][1] for r, y in zip(support, ysol)), ZERO)
     witness = LpDualWitness(ell=ell, multipliers=multipliers, value=value)
     if value != g or check_dual(ell, witness) is not None:
         return None
@@ -324,8 +300,11 @@ _gamma_memo: dict[int, GammaValue] = {}
 def gamma(ell: int, method: str = "auto") -> GammaValue:
     """Exact optimum of LP(ell) with verified primal and dual witnesses.
 
-    method: "auto" (default), "simplex" (exact generation only), or
-    "guided" (active-set proposal; still falls back to simplex on failure).
+    method: "auto" (default) or "guided", the HiGHS-guided exact
+    reconstruction, which falls back to the simplex if anything fails to
+    verify; or "simplex", exact generation only.  A "simplex" request never
+    returns or replaces a memo entry made by the guided path, so it stays an
+    independent oracle.
     """
     if ell < 1:
         raise ValueError(f"gamma needs ell >= 1, got {ell}")
@@ -333,22 +312,18 @@ def gamma(ell: int, method: str = "auto") -> GammaValue:
         raise BudgetError(
             f"ell = {ell} exceeds the LP size budget {LP_SIZE_BUDGET}"
         )
-    if method == "auto":
-        method = "simplex" if ell <= SIMPLEX_CUTOVER else "guided"
-    with _gamma_lock:
-        hit = _gamma_memo.get(ell)
-    if hit is not None and (method == "auto" or hit.method == method or method == "guided"):
-        return hit
-    if method == "guided":
-        gv = _solve_guided(ell)
-        if gv is None:
-            gv = _solve_by_generation(ell)
-    elif method == "simplex":
-        gv = _solve_by_generation(ell)
-    else:
+    if method not in ("auto", "guided", "simplex"):
         raise ValueError(f"unknown method {method!r}")
     with _gamma_lock:
-        _gamma_memo[ell] = gv
+        hit = _gamma_memo.get(ell)
+    if hit is not None and (method != "simplex" or hit.method == "simplex"):
+        return hit
+    if method == "simplex":
+        gv = _solve_by_generation(ell)
+    else:
+        gv = _solve_guided(ell) or _solve_by_generation(ell)
+    with _gamma_lock:
+        _gamma_memo.setdefault(ell, gv)
     return gv
 
 

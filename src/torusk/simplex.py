@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -130,37 +131,51 @@ def _pivot(tab, red, row_i, col, width):
         red[width] += f * prow[width]  # objective grows by f * rhs
 
 
-def solve_rational_system(rows, rhs):
-    """Particular exact solution of rows . x = rhs, or None if inconsistent.
+def solve_rational_system(rows, rhs, n):
+    """Particular exact solution of rows . x = rhs over n unknowns, or None
+    if the system is inconsistent.
 
-    Gauss-Jordan with the first nonzero as pivot; free variables are set to
-    zero.  Used to reconstruct vertices and multipliers from a guessed
-    active set, so callers always re-verify the result independently.
+    rows are sparse, {column: coefficient} with int or Fraction values.
+    Forward elimination reduces each incoming row by the stored pivot rows
+    in the order they were stored; a stored row holds only columns that
+    were not pivots when it was stored, so every elimination step brings in
+    later pivots only and the row is reduced in one pass.  Back
+    substitution then runs in reverse pivot order, and free variables are
+    set to zero.  Used to reconstruct vertices and multipliers from a
+    guessed active set, so callers always re-verify the result
+    independently.
     """
-    m = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    n = len(aug[0]) - 1 if m else 0
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(n):
-        sel = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if sel is None:
+    pivots: dict[int, tuple[int, dict, Fraction]] = {}  # col -> (rank, rest, rhs)
+    order: list[int] = []
+    for entries, b in zip(rows, rhs):
+        row = {c: a for c, a in entries.items() if a}
+        due = [(pivots[c][0], c) for c in row if c in pivots]
+        heapify(due)
+        while due:
+            _, c = heappop(due)
+            f = row.pop(c, None)
+            if f is None:
+                continue  # queued twice; already eliminated
+            _, rest, pb = pivots[c]
+            for c2, a in rest.items():
+                v = row.get(c2, ZERO) - f * a
+                if v:
+                    if c2 not in row and c2 in pivots:
+                        heappush(due, (pivots[c2][0], c2))
+                    row[c2] = v
+                else:
+                    row.pop(c2, None)
+            b -= f * pb
+        if not row:
+            if b:
+                return None  # 0 = nonzero: inconsistent
             continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = ONE / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * p for a, p in zip(aug[i], aug[r])]
-        pivot_of_col[col] = r
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None  # 0 = nonzero: inconsistent
+        p = min(row)
+        inv = ONE / row.pop(p)
+        pivots[p] = (len(order), {c: a * inv for c, a in row.items()}, b * inv)
+        order.append(p)
     x = [ZERO] * n
-    for col, i in pivot_of_col.items():
-        x[col] = aug[i][n]
+    for p in reversed(order):
+        _, rest, pb = pivots[p]
+        x[p] = pb - sum(a * x[c] for c, a in rest.items())
     return x

@@ -73,6 +73,17 @@ def test_compute_single_height_rejects_bad_baseline(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--k", "2", "--h", "5"), ("--k", "5", "--baseline", "0"), ("--k", "5", "--baseline", "7")],
+)
+def test_compute_flags_checked_before_shortcuts(capsys, argv):
+    code, out, err = run_cli(capsys, "compute", *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+
+
 def test_oracle_text(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--k", "5")
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusk import numtheory
+from torusk import lp, numtheory
 from torusk.errors import BudgetError, CacheError, VerificationError
 from torusk.lp import (
     GammaValue,
@@ -91,13 +91,31 @@ def test_gamma_monotone_nonincreasing_is_false():
     assert gamma(5).gamma > gamma(4).gamma
 
 
-def test_methods_agree_past_cutover():
-    a = _solve_by_generation(26)
-    b = _solve_guided(26)
-    assert b is not None
-    assert a.gamma == b.gamma
-    verify_gamma(a)
-    verify_gamma(b)
+def test_guided_matches_simplex():
+    for ell in (*range(1, 13), 26):
+        a = _solve_by_generation(ell)
+        b = _solve_guided(ell)
+        assert b is not None, ell
+        assert a.gamma == b.gamma, ell
+        verify_gamma(a)
+        verify_gamma(b)
+
+
+def test_guided_never_falls_back(monkeypatch):
+    monkeypatch.setattr(lp, "_gamma_memo", {})  # earlier simplex requests fill it
+    for ell in range(1, 61):
+        assert gamma(ell).method == "guided", ell
+
+
+def test_simplex_request_keeps_guided_memo(monkeypatch):
+    monkeypatch.setattr(lp, "_gamma_memo", {})
+    guided = gamma(7)
+    assert guided.method == "guided"
+    oracle = gamma(7, method="simplex")
+    assert oracle.method == "simplex"
+    assert oracle.gamma == guided.gamma
+    assert lp._gamma_memo[7] is guided
+    assert gamma(7) is guided
 
 
 def test_dual_matrix_row_and_column_sums():
