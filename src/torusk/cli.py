@@ -21,15 +21,13 @@ from pathlib import Path
 from .errors import BudgetError, CacheError, VerificationError
 from . import bounds as bounds_mod
 from . import lp
-from . import numtheory
 from .closedform import pattern_or_table
-from .heights import reduction_range, verify_height
-from .lattice import NiceSet, height
+from .heights import sweep, verify_height
 from .oracle import brute_force_max
 from .search import max_size
 
 _GAMMA_CACHE = "gamma.txt"
-_TRIPLES_CACHE = "densities.txt"
+_GAMMA_COMMANDS = ("lp-gamma", "bounds")  # the commands that load and save it
 
 
 class _UsageError(Exception):
@@ -54,7 +52,7 @@ class RunConfig:
     k_to: int | None = None
     ell: int | None = None
     ell_max: int | None = None
-    method: str = "auto"
+    method: str = "guided"
     perturbed: bool = False
     suite: str = "all"
     output: str = "text"
@@ -112,7 +110,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--l", dest="ell", type=int, default=None)
     p.add_argument("--lmax", dest="ell_max", type=int, default=None,
                    help="emit a csv table for ell = 1..lmax")
-    p.add_argument("--method", choices=("auto", "simplex", "guided"), default="auto")
+    p.add_argument("--method", choices=lp.METHODS, default="guided")
     p.add_argument("--csv", action="store_true")
 
     p = add_parser("certify-dual", help="emit and verify a dual certificate matrix")
@@ -150,7 +148,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         k_to=getattr(args, "k_to", None),
         ell=getattr(args, "ell", None),
         ell_max=getattr(args, "ell_max", None),
-        method=getattr(args, "method", "auto"),
+        method=getattr(args, "method", "guided"),
         perturbed=getattr(args, "perturbed", False),
         suite=getattr(args, "suite", "all"),
         output=output,
@@ -162,11 +160,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_caches(cache_dir: str | None) -> None:
-    if cache_dir is None:
-        return
-    base = Path(cache_dir)
-    gamma_file = base / _GAMMA_CACHE
+def _load_gamma_cache(cache_dir: str) -> None:
+    gamma_file = Path(cache_dir) / _GAMMA_CACHE
     if gamma_file.exists():
         try:
             lp.warm_gamma_memo(lp.load_gamma_cache(gamma_file))
@@ -174,15 +169,12 @@ def _load_caches(cache_dir: str | None) -> None:
             print(f"warning: ignoring bad gamma cache: {exc}", file=sys.stderr)
 
 
-def _save_caches(cache_dir: str | None, ell_max: int) -> None:
-    if cache_dir is None:
-        return
-    base = Path(cache_dir)
-    base.mkdir(parents=True, exist_ok=True)
+def _save_gamma_cache(cache_dir: str) -> None:
     snapshot = lp.gamma_memo_snapshot()
     if snapshot:
+        base = Path(cache_dir)
+        base.mkdir(parents=True, exist_ok=True)
         lp.save_gamma_cache(base / _GAMMA_CACHE, snapshot)
-    numtheory.save_triples(base / _TRIPLES_CACHE, list(range(1, ell_max + 1)))
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -301,28 +293,16 @@ def _run_certify_dual(config: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _height_row(pair: tuple[int, int]) -> dict:
-    k, h = pair
-    return verify_height(k, h).to_json_dict()
-
-
 def _run_verify_height(config: RunConfig) -> tuple[str, int]:
-    pairs: list[tuple[int, int]] = []
     if config.k is not None and config.h is not None:
-        pairs = [(config.k, config.h)]
+        verdicts = [verify_height(config.k, config.h)]
     elif config.k_from is not None and config.k_to is not None:
         if config.k_to - config.k_from > 5000 and not config.long_mode:
             raise BudgetError("verify-height sweep that large needs --long")
-        for k in range(config.k_from, config.k_to + 1):
-            pairs += [(k, h) for h in reduction_range(k)]
+        verdicts = sweep(config.k_from, config.k_to, config.threads)
     else:
         raise _UsageError("verify-height needs --k/--h or --from/--to")
-    if config.threads > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(_height_row, pairs, chunksize=64))
-    else:
-        rows = [_height_row(p) for p in pairs]
-    rows.sort(key=lambda r: (r["k"], r["h"]))
+    rows = [v.to_json_dict() for v in verdicts]
     text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
     failed = [r for r in rows if not r["verified"]]
     if failed:
@@ -368,7 +348,9 @@ _DISPATCH = {
 
 
 def run(config: RunConfig) -> int:
-    _load_caches(config.cache_dir)
+    use_cache = config.cache_dir is not None and config.command in _GAMMA_COMMANDS
+    if use_cache:
+        _load_gamma_cache(config.cache_dir)
     try:
         text, code = _DISPATCH[config.command](config)
     except VerificationError as exc:
@@ -378,9 +360,8 @@ def run(config: RunConfig) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     _emit(config, text)
-    if config.cache_dir is not None and config.command in ("lp-gamma", "bounds"):
-        ell_max = config.ell_max or config.ell or 20
-        _save_caches(config.cache_dir, max(20, min(ell_max, 256)))
+    if use_cache:
+        _save_gamma_cache(config.cache_dir)
     return code
 
 
@@ -389,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:  # ValueError: RunConfig rejected a value
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -13,7 +13,6 @@ questions factor through that equivalence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -53,10 +52,6 @@ def check_k_nice(points, k: int) -> str | None:
     return None
 
 
-def is_k_nice(points, k: int) -> bool:
-    return check_k_nice(points, k) is None
-
-
 def _sort_key(p: Point):
     return (p[1], p[0])
 
@@ -84,29 +79,6 @@ class NiceSet:
 
     def __contains__(self, p: Point) -> bool:
         return p in set(self.points)
-
-    def to_json(self) -> str:
-        return json.dumps({"k": self.k, "points": [list(p) for p in self.points]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "NiceSet":
-        data = json.loads(text)
-        return cls.from_points([(int(m), int(n)) for m, n in data["points"]], int(data["k"]))
-
-    def to_text(self) -> str:
-        """Fixture format: one "m n" pair per line."""
-        return "\n".join(f"{m} {n}" for m, n in self.points) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, k: int) -> "NiceSet":
-        points = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            m, n = line.split()
-            points.append((int(m), int(n)))
-        return cls.from_points(points, k)
 
 
 @dataclass(frozen=True)
@@ -140,9 +112,6 @@ class UnimodularMatrix:
         )
 
 
-SHEAR = UnimodularMatrix(1, 1, 0, 1)  # (m, n) -> (m + n, n)
-
-
 def shear_power(t: int) -> UnimodularMatrix:
     return UnimodularMatrix(1, t, 0, 1)
 
@@ -169,13 +138,6 @@ def height(q: NiceSet) -> int:
     if not q.points:
         raise ValueError("height of an empty set")
     return max(abs(n) for _, n in q.points)
-
-
-def width(q: NiceSet) -> int:
-    """max |m|; rejects the empty set."""
-    if not q.points:
-        raise ValueError("width of an empty set")
-    return max(abs(m) for m, _ in q.points)
 
 
 # --- convex hull / maximality ----------------------------------------------

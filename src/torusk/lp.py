@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,8 @@ ONE = Fraction(1)
 
 LP_SIZE_BUDGET = 256  # largest ell the solver will accept
 _GEN_BATCH = 2  # violated rows added per round, as a multiple of ell
+
+METHODS = ("guided", "simplex")
 
 # Row keys: ("link", i) is sigma_i - tau_i <= 0;
 # ("pair", i, j, s) is s * (i * tau_j - j * sigma_i) <= 1 with s = +-1.
@@ -114,11 +117,30 @@ def primal_objective(ell: int, sigma, tau) -> Fraction:
     )
 
 
+def _is_row_key(ell: int, key) -> bool:
+    """Whether key names a row of LP(ell): ("link", i) or ("pair", i, j, s)
+    with 1 <= i, j <= ell and s = +-1, all plain ints."""
+    if not isinstance(key, tuple) or not key:
+        return False
+    if key[0] == "link" and len(key) == 2:
+        indices = key[1:]
+    elif key[0] == "pair" and len(key) == 4 and type(key[3]) is int and key[3] in (1, -1):
+        indices = key[1:3]
+    else:
+        return False
+    return all(type(i) is int and 1 <= i <= ell for i in indices)
+
+
 def check_dual(ell: int, witness: LpDualWitness) -> str | None:
-    """None if the multipliers certify value >= optimum (dual feasibility)."""
+    """None if the multipliers certify value >= optimum (dual feasibility).
+    Every key must name a row of LP(ell); anything else is rejected, so a
+    witness read from outside the program cannot index past the columns or
+    scale a row."""
     col = [ZERO] * (2 * ell)  # accumulated y^T A per structural column
     value = ZERO
     for key, y in witness.multipliers:
+        if not _is_row_key(ell, key):
+            return f"not a row of LP({ell}): {key!r}"
         if y < 0:
             return f"negative multiplier on {key}"
         entries, rhs = _row_entries(ell, key)
@@ -297,12 +319,12 @@ _gamma_lock = threading.Lock()
 _gamma_memo: dict[int, GammaValue] = {}
 
 
-def gamma(ell: int, method: str = "auto") -> GammaValue:
+def gamma(ell: int, method: str = "guided") -> GammaValue:
     """Exact optimum of LP(ell) with verified primal and dual witnesses.
 
-    method: "auto" (default) or "guided", the HiGHS-guided exact
-    reconstruction, which falls back to the simplex if anything fails to
-    verify; or "simplex", exact generation only.  A "simplex" request never
+    method: "guided" (default), the HiGHS-guided exact reconstruction,
+    which falls back to the simplex if anything fails to verify; or
+    "simplex", exact generation only.  A "simplex" request never
     returns or replaces a memo entry made by the guided path, so it stays an
     independent oracle.
     """
@@ -312,7 +334,7 @@ def gamma(ell: int, method: str = "auto") -> GammaValue:
         raise BudgetError(
             f"ell = {ell} exceeds the LP size budget {LP_SIZE_BUDGET}"
         )
-    if method not in ("auto", "guided", "simplex"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     with _gamma_lock:
         hit = _gamma_memo.get(ell)
@@ -471,7 +493,7 @@ def format_round4(x: Fraction) -> str:
     return f"{sign}{scaled // 10_000}.{scaled % 10_000:04d}"
 
 
-def density_table_csv(ell_max: int, method: str = "auto") -> str:
+def density_table_csv(ell_max: int, method: str = "guided") -> str:
     """CSV of rho, alpha, gamma, beta rounded to 4 decimals, ell = 1..ell_max."""
     lines = ["ell,rho,alpha,gamma,beta"]
     for ell in range(1, ell_max + 1):
@@ -486,108 +508,79 @@ def density_table_csv(ell_max: int, method: str = "auto") -> str:
 
 # --- gamma cache ------------------------------------------------------------
 
-_GAMMA_HEADER = "torusk-gamma 1"
+_GAMMA_HEADER = "torusk-gamma 2"
 
 
 def _checksum(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def _key_to_json(key: RowKey) -> list:
-    return list(key)
-
-
-def _key_from_json(raw) -> RowKey:
-    return (raw[0], *map(int, raw[1:]))
-
-
 def save_gamma_cache(path: str | Path, values: dict[int, GammaValue]) -> None:
-    """Values file: "ell num/den" per line.  Witnesses go to a JSONL sidecar
-    so a later run can re-verify without re-solving."""
+    """One file: the header, one JSON record per ell (value, method and both
+    witnesses, so a later run re-verifies without re-solving), then a sha256
+    line over everything above it.  Written to a temporary file in the same
+    directory and moved into place, so a reader never sees a partial file."""
     path = Path(path)
     lines = [_GAMMA_HEADER]
     for ell in sorted(values):
-        g = values[ell].gamma
-        lines.append(f"{ell} {g.numerator}/{g.denominator}")
-    lines.append(f"sha256 {_checksum(lines)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    with path.with_suffix(".witness.jsonl").open("w", encoding="utf-8") as fh:
-        for ell in sorted(values):
-            gv = values[ell]
-            sigma, tau = gv.witness_primal
-            fh.write(
-                json.dumps(
-                    {
-                        "ell": ell,
-                        "method": gv.method,
-                        "sigma": [str(v) for v in sigma],
-                        "tau": [str(v) for v in tau],
-                        "dual": [
-                            [_key_to_json(key), str(y)]
-                            for key, y in gv.witness_dual.multipliers
-                        ],
-                    }
-                )
-                + "\n"
+        gv = values[ell]
+        sigma, tau = gv.witness_primal
+        lines.append(
+            json.dumps(
+                {
+                    "ell": ell,
+                    "gamma": str(gv.gamma),
+                    "method": gv.method,
+                    "sigma": [str(v) for v in sigma],
+                    "tau": [str(v) for v in tau],
+                    "dual": [[list(key), str(y)] for key, y in gv.witness_dual.multipliers],
+                }
             )
+        )
+    lines.append(f"sha256 {_checksum(lines)}")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
-def load_gamma_cache(path: str | Path, verify: bool = True) -> dict[int, GammaValue]:
-    """Load and (by default) re-verify a cache written by save_gamma_cache.
-    CacheError on malformed or checksum-failing files; VerificationError if
-    a stored witness no longer certifies its value."""
+def load_gamma_cache(path: str | Path) -> dict[int, GammaValue]:
+    """Load a cache written by save_gamma_cache and re-verify every record.
+    CacheError on an unreadable, malformed or checksum-failing file or a
+    repeated ell; VerificationError if a stored witness does not certify
+    its value."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise CacheError(f"cannot read {path}: {exc}") from exc
     if len(lines) < 2 or lines[0] != _GAMMA_HEADER:
         raise CacheError(f"{path}: missing or unknown header")
     tag, _, digest = lines[-1].partition(" ")
     if tag != "sha256" or digest != _checksum(lines[:-1]):
         raise CacheError(f"{path}: checksum mismatch")
-    gammas: dict[int, Fraction] = {}
-    for line in lines[1:-1]:
-        try:
-            raw_ell, raw_g = line.split()
-            gammas[int(raw_ell)] = Fraction(raw_g)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CacheError(f"{path}: bad record {line!r}") from exc
-
-    witness_path = path.with_suffix(".witness.jsonl")
-    try:
-        witness_lines = witness_path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CacheError(f"cannot read {witness_path}: {exc}") from exc
     out: dict[int, GammaValue] = {}
-    for line in witness_lines:
+    for n, line in enumerate(lines[1:-1], start=2):
         try:
             rec = json.loads(line)
             ell = int(rec["ell"])
-            sigma = tuple(Fraction(v) for v in rec["sigma"])
-            tau = tuple(Fraction(v) for v in rec["tau"])
-            multipliers = tuple(
-                (_key_from_json(kraw), Fraction(yraw)) for kraw, yraw in rec["dual"]
+            g = Fraction(rec["gamma"])
+            multipliers = tuple((tuple(key), Fraction(y)) for key, y in rec["dual"])
+            gv = GammaValue(
+                ell=ell,
+                gamma=g,
+                witness_primal=(
+                    tuple(Fraction(v) for v in rec["sigma"]),
+                    tuple(Fraction(v) for v in rec["tau"]),
+                ),
+                witness_dual=LpDualWitness(ell=ell, multipliers=multipliers, value=g),
+                method=rec["method"],
             )
-        except (ValueError, KeyError, ZeroDivisionError) as exc:
-            raise CacheError(f"{witness_path}: bad record") from exc
-        if ell not in gammas:
-            raise CacheError(f"{witness_path}: witness for unlisted ell={ell}")
-        gv = GammaValue(
-            ell=ell,
-            gamma=gammas[ell],
-            witness_primal=(sigma, tau),
-            witness_dual=LpDualWitness(
-                ell=ell, multipliers=multipliers, value=gammas[ell]
-            ),
-            method=rec.get("method", "simplex"),
-        )
-        if verify:
-            verify_gamma(gv)
+        except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise CacheError(f"{path}: bad record on line {n}") from exc
+        if ell < 1 or ell in out or gv.method not in METHODS:
+            raise CacheError(f"{path}: bad record on line {n}")
+        verify_gamma(gv)
         out[ell] = gv
-    if set(out) != set(gammas):
-        raise CacheError(f"{witness_path}: missing witnesses")
     return out
 
 

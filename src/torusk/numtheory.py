@@ -13,14 +13,10 @@ floating point.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-
-from torusk.errors import CacheError
 
 Rational = Fraction
 
@@ -161,51 +157,3 @@ class DensityTriple:
 def triples(ell: int) -> DensityTriple:
     return DensityTriple(ell=ell, rho=rho(ell), alpha=alpha(ell), beta=beta(ell))
 
-
-# --- cache file: one record per line "ell rho alpha beta" as num/den -------
-
-_CACHE_HEADER = "torusk-densities 1"
-
-
-def _checksum(lines: list[str]) -> str:
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
-def save_triples(path: str | Path, ells: list[int]) -> None:
-    lines = [_CACHE_HEADER]
-    for ell in sorted(set(ells)):
-        t = triples(ell)
-        lines.append(
-            f"{ell} {t.rho.numerator}/{t.rho.denominator}"
-            f" {t.alpha.numerator}/{t.alpha.denominator}"
-            f" {t.beta.numerator}/{t.beta.denominator}"
-        )
-    lines.append(f"sha256 {_checksum(lines)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_triples(path: str | Path) -> dict[int, DensityTriple]:
-    """Load a cache written by save_triples; CacheError on any corruption."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CacheError(f"cannot read {path}: {exc}") from exc
-    if len(lines) < 2 or lines[0] != _CACHE_HEADER:
-        raise CacheError(f"{path}: missing or unknown header")
-    tag, _, digest = lines[-1].partition(" ")
-    if tag != "sha256" or digest != _checksum(lines[:-1]):
-        raise CacheError(f"{path}: checksum mismatch")
-    out: dict[int, DensityTriple] = {}
-    for line in lines[1:-1]:
-        try:
-            raw_ell, raw_rho, raw_alpha, raw_beta = line.split()
-            t = DensityTriple(
-                ell=int(raw_ell),
-                rho=Fraction(raw_rho),
-                alpha=Fraction(raw_alpha),
-                beta=Fraction(raw_beta),
-            )
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CacheError(f"{path}: bad record {line!r}") from exc
-        out[t.ell] = t
-    return out

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from torusk import lp
 from torusk.cli import main
 from torusk.closedform import pattern_or_table
 
@@ -12,6 +13,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    # the cache holds the whole memo and every load re-verifies it, so start
+    # from nothing rather than from every gamma earlier tests computed
+    monkeypatch.setattr(lp, "_gamma_memo", {})
 
 
 def test_missing_required_arg(capsys):
@@ -79,6 +87,13 @@ def test_compute_single_height_rejects_bad_baseline(capsys):
 )
 def test_compute_flags_checked_before_shortcuts(capsys, argv):
     code, out, err = run_cli(capsys, "compute", *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_threads_below_one_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "compute", "--k", "5", "--threads", "0")
     assert code == 1
     assert out == ""
     assert "usage error" in err
@@ -191,15 +206,14 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "N(5) = 8\n"
 
 
-def test_cache_write_and_corruption_recovery(tmp_path, capsys):
+def test_cache_write_and_corruption_recovery(tmp_path, capsys, fresh_memo):
     cache = tmp_path / "cache"
     code, _, _ = run_cli(
         capsys, "lp-gamma", "--lmax", "8", "--cache-dir", str(cache)
     )
     assert code == 0
     gamma_file = cache / "gamma.txt"
-    assert gamma_file.exists()
-    assert (cache / "densities.txt").exists()
+    assert [p.name for p in cache.iterdir()] == ["gamma.txt"]
 
     # a clean second run stays quiet
     code, out, err = run_cli(
@@ -217,6 +231,53 @@ def test_cache_write_and_corruption_recovery(tmp_path, capsys):
     assert code == 0
     assert out == "35/36 (0.9722)\n"
     assert "ignoring bad gamma cache" in err
+
+
+def _resign(path, edit) -> None:
+    """Edit the parsed records and rewrite the file with a matching checksum."""
+    lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:-1]]
+    edit(records)
+    body = [lines[0]] + [json.dumps(rec) for rec in records]
+    path.write_text("\n".join(body + [f"sha256 {lp._checksum(body)}"]) + "\n")
+
+
+def _bad_key(path):
+    def edit(records):
+        records[0]["dual"][0][0] = ["pair", 0, 9, 1]
+    _resign(path, edit)
+
+
+def _wrong_gamma(path):
+    def edit(records):
+        records[0]["gamma"] = "17/18"
+    _resign(path, edit)
+
+
+def _old_format(path):
+    path.write_text("torusk-gamma 1\n4 35/36\nsha256 0\n")
+
+
+@pytest.mark.parametrize("spoil", [_bad_key, _wrong_gamma, _old_format])
+def test_bad_cache_is_rebuilt(tmp_path, capsys, fresh_memo, spoil):
+    cache = tmp_path / "cache"
+    run_cli(capsys, "lp-gamma", "--l", "4", "--cache-dir", str(cache))
+    spoil(cache / "gamma.txt")
+    code, out, err = run_cli(capsys, "lp-gamma", "--l", "4", "--cache-dir", str(cache))
+    assert (code, out) == (0, "35/36 (0.9722)\n")
+    assert err.count("ignoring bad gamma cache") == 1
+    # that run rebuilt the file, so the next one loads it quietly
+    code, out, err = run_cli(capsys, "lp-gamma", "--l", "4", "--cache-dir", str(cache))
+    assert (code, out, err) == (0, "35/36 (0.9722)\n", "")
+
+
+def test_non_gamma_commands_leave_cache_alone(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "gamma.txt").write_text("not a cache\n")
+    code, out, err = run_cli(capsys, "compute", "--k", "5", "--cache-dir", str(cache))
+    assert (code, out, err) == (0, "N(5) = 8\n", "")
+    assert (cache / "gamma.txt").read_text() == "not a cache\n"
 
 
 def test_table_byte_determinism(capsys):

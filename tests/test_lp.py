@@ -1,5 +1,6 @@
 """gamma(ell): exact solves, witnesses, certificates, cache."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from torusk.errors import BudgetError, CacheError, VerificationError
 from torusk.lp import (
     GammaValue,
     LP_SIZE_BUDGET,
+    LpDualWitness,
     _solve_by_generation,
     _solve_guided,
+    check_dual,
     check_primal,
     dual_matrix,
     format_round4,
@@ -79,6 +82,63 @@ def test_tampered_gamma_rejected():
     )
     with pytest.raises(VerificationError):
         verify_gamma(forged)
+
+
+def _halved(gv: GammaValue) -> GammaValue:
+    """Half the primal point, and pair rows scaled by 2 with half the
+    multiplier: the doubled rows are not rows of LP(ell), and they make the
+    halved value look optimal."""
+    sigma, tau = gv.witness_primal
+    multipliers = tuple(
+        (("pair", key[1], key[2], 2 * key[3]), y / 2) if key[0] == "pair" else (key, y)
+        for key, y in gv.witness_dual.multipliers
+    )
+    g = gv.gamma / 2
+    return GammaValue(
+        ell=gv.ell,
+        gamma=g,
+        witness_primal=(tuple(v / 2 for v in sigma), tuple(v / 2 for v in tau)),
+        witness_dual=LpDualWitness(ell=gv.ell, multipliers=multipliers, value=g),
+        method=gv.method,
+    )
+
+
+@pytest.mark.parametrize("ell", [5, 12])
+def test_halved_gamma_forgery_rejected(ell):
+    forged = _halved(gamma(ell))
+    assert forged.gamma < gamma(ell).gamma
+    with pytest.raises(VerificationError, match="not a row"):
+        verify_gamma(forged)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ("zzz", 1, 1, 1),
+        ("pair", -3, 1, -1),
+        ("pair", 0, 9, 1),
+        ("pair", 1, 5, 1),
+        ("pair", 1, 1, 2),
+        ("pair", 1, 1, 0),
+        ("pair", 1, 1, True),
+        ("pair", 1.0, 1, 1),
+        ("pair", 1, 1),
+        ("link", 0),
+        ("link", 5),
+        ("link", -1),
+        ("link", 1, 1),
+        ("link", "1"),
+        (),
+        7,
+    ],
+)
+def test_check_dual_rejects_malformed_keys(key):
+    gv = gamma(4)
+    assert check_dual(4, gv.witness_dual) is None
+    witness = LpDualWitness(
+        ell=4, multipliers=gv.witness_dual.multipliers + ((key, Fraction(0)),), value=gv.gamma
+    )
+    assert "not a row" in check_dual(4, witness)
 
 
 def test_gamma_budget():
@@ -154,10 +214,9 @@ def test_cache_roundtrip(tmp_path):
     values = {ell: gamma(ell) for ell in range(1, 9)}
     path = tmp_path / "gamma.txt"
     save_gamma_cache(path, values)
-    loaded = load_gamma_cache(path, verify=True)
-    assert set(loaded) == set(values)
-    for ell, gv in values.items():
-        assert loaded[ell].gamma == gv.gamma
+    loaded = load_gamma_cache(path)
+    assert loaded == values
+    assert [p.name for p in tmp_path.iterdir()] == ["gamma.txt"]
 
 
 def test_cache_corruption_detected(tmp_path):
@@ -167,13 +226,77 @@ def test_cache_corruption_detected(tmp_path):
     text = path.read_text()
     path.write_text(text.replace("35/36", "34/36"))
     with pytest.raises(CacheError):
-        load_gamma_cache(path, verify=True)
+        load_gamma_cache(path)
 
 
 def test_cache_bad_header(tmp_path):
     path = tmp_path / "gamma.txt"
     path.write_text("not a cache\n")
     with pytest.raises(CacheError):
+        load_gamma_cache(path)
+    path.write_text("torusk-gamma 1\n4 35/36\nsha256 0\n")  # the older format
+    with pytest.raises(CacheError, match="header"):
+        load_gamma_cache(path)
+
+
+def resign(path, edit) -> None:
+    """Apply edit to the parsed records and rewrite the file with a
+    matching checksum, as a deliberate forger would."""
+    lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:-1]]
+    edit(records)
+    body = [lines[0]] + [json.dumps(rec) for rec in records]
+    path.write_text("\n".join(body + [f"sha256 {lp._checksum(body)}"]) + "\n")
+
+
+def _set(field, value):
+    def edit(records):
+        records[0][field] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda records: records.append(records[0]),  # repeated ell
+        lambda records: records[0].pop("method"),
+        _set("method", "auto"),
+        _set("ell", 0),
+        _set("sigma", [None]),
+        _set("gamma", "1/0"),
+        _set("dual", [[7, "1"]]),
+        _set("dual", [["pair", 1, 1]]),
+        lambda records: records.__setitem__(0, [4]),
+    ],
+)
+def test_cache_malformed_record(tmp_path, edit):
+    path = tmp_path / "gamma.txt"
+    save_gamma_cache(path, {ell: gamma(ell) for ell in (4, 5)})
+    resign(path, edit)
+    with pytest.raises(CacheError):
+        load_gamma_cache(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("gamma", "17/18"),
+        _set("dual", [[["pair", 0, 9, 1], "1"]]),
+        _set("dual", [[["pair", -3, 1, -1], "1"]]),
+    ],
+)
+def test_cache_resigned_forgery_fails_verification(tmp_path, edit):
+    path = tmp_path / "gamma.txt"
+    save_gamma_cache(path, {4: gamma(4)})
+    resign(path, edit)
+    with pytest.raises(VerificationError):
+        load_gamma_cache(path)
+
+
+def test_cache_resigned_halved_gamma_rejected(tmp_path):
+    path = tmp_path / "gamma.txt"
+    save_gamma_cache(path, {5: _halved(gamma(5))})  # saving does not verify
+    with pytest.raises(VerificationError, match="not a row"):
         load_gamma_cache(path)
 
 

@@ -6,16 +6,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusk.errors import CacheError
 from torusk.numtheory import (
     DensityTriple,
     alpha,
     beta,
     coprime_count,
-    load_triples,
     prime_factors,
     rho,
-    save_triples,
     small_prime_part,
     squarefree_divisors,
     totient,
@@ -104,27 +101,3 @@ def test_triples_validation():
     assert isinstance(t, DensityTriple)
     assert (t.rho, t.alpha, t.beta) == (Fraction(1, 3), 1, Fraction(124, 15))
 
-
-def test_triples_cache_roundtrip(tmp_path):
-    path = tmp_path / "densities.txt"
-    save_triples(path, list(range(1, 21)))
-    loaded = load_triples(path)
-    assert set(loaded) == set(range(1, 21))
-    for ell, t in loaded.items():
-        assert t == triples(ell)
-
-
-def test_triples_cache_corruption(tmp_path):
-    path = tmp_path / "densities.txt"
-    save_triples(path, [1, 2, 3])
-    text = path.read_text()
-    path.write_text(text.replace("1/2", "1/3", 1))
-    with pytest.raises(CacheError):
-        load_triples(path)
-
-
-def test_triples_cache_bad_header(tmp_path):
-    path = tmp_path / "densities.txt"
-    path.write_text("not a cache\n")
-    with pytest.raises(CacheError):
-        load_triples(path)

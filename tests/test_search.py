@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from torusk import lattice
 from torusk.closedform import pattern_or_table
-from torusk.heights import verify_height
+from torusk.heights import ROT, reduce_height_sqrt2k, verify_height
 from torusk.oracle import brute_force_max
 from torusk.search import IntervalTables, compute, compute_with_witness, max_size
 
@@ -156,3 +156,38 @@ def test_skipped_heights_never_improve():
                 skipped += 1
                 assert compute(k, h, n_k, tables) == n_k, (k, h)
     assert skipped > 0
+
+
+@st.composite
+def nice_sets(draw):
+    """A random k-nice set: coprime points of a low box, each kept when it
+    stays compatible with those kept before it, then moved by random shears
+    and quarter turns so that tall and lopsided sets occur too."""
+    k = draw(st.integers(3, 14))
+    coords = st.tuples(st.integers(-k, k), st.integers(0, 2))
+    kept: list[tuple[int, int]] = []
+    for m, n in draw(st.lists(coords, min_size=8, max_size=40)):
+        if gcd(m, n) == 1 and lattice.check_k_nice(kept + [(m, n)], k) is None:
+            kept.append((m, n))
+    if not kept:
+        kept = [(1, 0)]
+    q = lattice.NiceSet.from_points(kept, k)
+    for t in draw(st.lists(st.integers(-3, 3), max_size=3)):
+        q = lattice.apply_matrix(q, lattice.shear_power(t))
+        q = lattice.apply_matrix(q, ROT)
+    return q
+
+
+@given(nice_sets())
+@settings(max_examples=150, deadline=None)
+def test_canonical_box_holds_every_maximal_set(q):
+    # search and oracle enumerate only sets inside {0..k} x {0..isqrt(2k)}
+    # that contain (1, 0), (0, 1) and (1, 1); every k-nice set must extend
+    # to a maximal one that lands there
+    k = q.k
+    low = reduce_height_sqrt2k(q)
+    closed = lattice.maximal_closure(lattice.normalize_y_nonneg(low))
+    canon = lattice.canonical_position(reduce_height_sqrt2k(closed))
+    assert len(canon) == len(closed) >= len(q)
+    assert {(1, 0), (0, 1), (1, 1)} <= set(canon.points)
+    assert all(0 <= m <= k and 0 <= n <= isqrt(2 * k) for m, n in canon.points)
