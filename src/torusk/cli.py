@@ -265,6 +265,8 @@ def _run_lp_gamma(config: RunConfig) -> tuple[str, int]:
         return lp.density_table_csv(config.ell_max, method=config.method), 0
     if config.ell is None:
         raise _UsageError("lp-gamma needs --l or --lmax")
+    if config.ell < 1:
+        raise _UsageError(f"lp-gamma needs --l >= 1, got --l {config.ell}")
     value = lp.gamma(config.ell, method=config.method)
     g = value.gamma
     return f"{g.numerator}/{g.denominator} ({lp.format_round4(g)})\n", 0
@@ -274,6 +276,8 @@ def _run_certify_dual(config: RunConfig) -> tuple[str, int]:
     ell = config.ell
     if ell is None or ell < 1:
         raise _UsageError("certify-dual needs --l >= 1")
+    if config.perturbed and ell < 4:
+        raise _UsageError(f"certify-dual --perturbed needs --l >= 4, got --l {ell}")
     cert = lp.perturbed_dual_matrix(ell) if config.perturbed else lp.dual_matrix(ell)
     cert.verify()
     value = cert.value
@@ -295,8 +299,16 @@ def _run_certify_dual(config: RunConfig) -> tuple[str, int]:
 
 def _run_verify_height(config: RunConfig) -> tuple[str, int]:
     if config.k is not None and config.h is not None:
+        if not 2 <= config.h <= config.k:
+            raise _UsageError(
+                f"verify-height needs 2 <= --h <= --k, got --k {config.k} --h {config.h}"
+            )
         verdicts = [verify_height(config.k, config.h)]
     elif config.k_from is not None and config.k_to is not None:
+        if config.k_from < 0:
+            raise _UsageError(
+                f"verify-height needs --from >= 0, got --from {config.k_from}"
+            )
         if config.k_to - config.k_from > 5000 and not config.long_mode:
             raise BudgetError("verify-height sweep that large needs --long")
         verdicts = sweep(config.k_from, config.k_to, config.threads)

@@ -37,7 +37,8 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 from torusk import numtheory
@@ -95,19 +96,26 @@ def _pair_value(sigma, tau, i, j) -> Fraction:
 
 
 def check_primal(ell: int, sigma, tau) -> str | None:
-    """None if (sigma, tau) is feasible for LP(ell), else a description."""
+    """None if (sigma, tau) is feasible for LP(ell), else a description of
+    the first violated constraint.  The coordinates (ints or Fractions) are
+    scaled to integers over D, the lcm of their denominators, so the ell^2
+    pair bounds |i tau_j - j sigma_i| <= 1 become |i T_j - j S_i| <= D in
+    int arithmetic."""
     if len(sigma) != ell or len(tau) != ell:
         return "wrong dimension"
-    for i in range(1, ell + 1):
-        if sigma[i - 1] < 0:
+    big = lcm(*(x.denominator for x in sigma), *(x.denominator for x in tau))
+    s_int = [x.numerator * (big // x.denominator) for x in sigma]
+    t_int = [x.numerator * (big // x.denominator) for x in tau]
+    for i, (s, t) in enumerate(zip(s_int, t_int), start=1):
+        if s < 0:
             return f"sigma_{i} < 0"
-        if tau[i - 1] < sigma[i - 1]:
+        if t < s:
             return f"tau_{i} < sigma_{i}"
-    for i in range(1, ell + 1):
-        for j in range(1, ell + 1):
-            v = _pair_value(sigma, tau, i, j)
-            if v > 1 or v < -1:
-                return f"|{i} tau_{j} - {j} sigma_{i}| = |{v}| > 1"
+    for i, s in enumerate(s_int, start=1):
+        for j, t in enumerate(t_int, start=1):
+            v = i * t - j * s
+            if v > big or v < -big:
+                return f"|{i} tau_{j} - {j} sigma_{i}| = |{Fraction(v, big)}| > 1"
     return None
 
 
@@ -387,25 +395,27 @@ class DualCertificate:
 
     @property
     def value(self) -> Fraction:
-        total = ZERO
-        for i, row in enumerate(self.matrix, start=1):
-            for j, a in enumerate(row, start=1):
-                if a:
-                    total += Fraction(a, i * j)
-        return total
+        # With L = lcm(1..n), a / (i * j) = a * (L / i) * (L / j) / L^2, so the
+        # sum is one integer dot product per row over a single denominator.
+        n = max([len(self.matrix), *map(len, self.matrix)])
+        big = lcm(*range(1, n + 1))
+        scale = [big // j for j in range(1, n + 1)]
+        total = sum(
+            s * sum(map(mul, row, scale)) for s, row in zip(scale, self.matrix)
+        )
+        return Fraction(total, big * big)
 
     def verify(self) -> None:
         ell = self.ell
         if len(self.matrix) != ell or any(len(r) != ell for r in self.matrix):
             raise VerificationError(f"certificate matrix is not {ell} x {ell}")
         for i, row in enumerate(self.matrix, start=1):
-            if any(a < 0 for a in row):
+            if min(row) < 0:
                 raise VerificationError(f"negative entry in row {i}")
             if sum(row) > numtheory.totient(i):
                 raise VerificationError(f"row {i} sum exceeds phi({i})")
-        for j in range(1, ell + 1):
-            col = sum(self.matrix[i - 1][j - 1] for i in range(1, ell + 1))
-            if col < numtheory.totient(j):
+        for j, col in enumerate(zip(*self.matrix), start=1):
+            if sum(col) < numtheory.totient(j):
                 raise VerificationError(f"column {j} sum below phi({j})")
 
 
@@ -416,10 +426,8 @@ def dual_matrix(ell: int) -> DualCertificate:
     if ell < 1:
         raise ValueError(f"dual_matrix needs ell >= 1, got {ell}")
     matrix = tuple(
-        tuple(
-            1 if i + j >= ell + 1 and gcd(i, j) == 1 else 0
-            for j in range(1, ell + 1)
-        )
+        (0,) * (ell - i)
+        + tuple(1 if gcd(i, j) == 1 else 0 for j in range(ell + 1 - i, ell + 1))
         for i in range(1, ell + 1)
     )
     cert = DualCertificate(ell=ell, matrix=matrix)
@@ -455,9 +463,7 @@ def perturbed_dual_matrix(ell: int) -> DualCertificate:
     bump(ell - 1, ell - 1, +2)
     cert = DualCertificate(ell=ell, matrix=tuple(tuple(r) for r in m))
     cert.verify()
-    expected = 1 - 2 * (Fraction(1, ell - 2) - Fraction(1, ell - 1)) * (
-        Fraction(1, ell - 1) - Fraction(1, ell)
-    )
+    expected = gamma_upper_bound(ell)
     if cert.value != expected:
         raise VerificationError(
             f"perturbed_dual_matrix({ell}) value {cert.value} != {expected}"

@@ -92,6 +92,23 @@ def test_compute_flags_checked_before_shortcuts(capsys, argv):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify-dual", "--l", "3", "--perturbed"),
+        ("lp-gamma", "--l", "0"),
+        ("verify-height", "--k", "3", "--h", "1"),
+        ("verify-height", "--from", "-5", "--to", "3"),
+    ],
+)
+def test_out_of_range_values_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_threads_below_one_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "compute", "--k", "5", "--threads", "0")
     assert code == 1

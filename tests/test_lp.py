@@ -4,10 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusk import lp, numtheory
 from torusk.errors import BudgetError, CacheError, VerificationError
 from torusk.lp import (
+    DualCertificate,
     GammaValue,
     LP_SIZE_BUDGET,
     LpDualWitness,
@@ -64,6 +66,56 @@ def test_small_witnesses_feasible_and_optimal():
         sigma, tau = primal_witness_small(ell)
         assert check_primal(ell, sigma, tau) is None
         assert primal_objective(ell, sigma, tau) == 1
+
+
+def fraction_check_primal(ell, sigma, tau):
+    """Oracle for check_primal: the same scan in Fraction arithmetic."""
+    if len(sigma) != ell or len(tau) != ell:
+        return "wrong dimension"
+    for i in range(1, ell + 1):
+        if sigma[i - 1] < 0:
+            return f"sigma_{i} < 0"
+        if tau[i - 1] < sigma[i - 1]:
+            return f"tau_{i} < sigma_{i}"
+    for i in range(1, ell + 1):
+        for j in range(1, ell + 1):
+            v = i * tau[j - 1] - j * sigma[i - 1]
+            if v > 1 or v < -1:
+                return f"|{i} tau_{j} - {j} sigma_{i}| = |{v}| > 1"
+    return None
+
+
+coordinates = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=60)
+
+
+@st.composite
+def primal_points(draw):
+    """(claimed ell, sigma, tau): random points, which are mostly infeasible,
+    and sigma_i = c i, tau_j = c j + d with c >= 0 and 0 <= d <= 1/ell, which
+    are feasible (i tau_j - j sigma_i = i d, tight at i = ell when
+    d = 1/ell), sometimes with one coordinate moved."""
+    ell = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        c = draw(st.fractions(0, 2, max_denominator=60))
+        tight = st.just(Fraction(1, ell))
+        d = draw(tight | st.fractions(0, Fraction(1, ell), max_denominator=60))
+        sigma = [c * i for i in range(1, ell + 1)]
+        tau = [c * j + d for j in range(1, ell + 1)]
+        if draw(st.booleans()):
+            side = draw(st.sampled_from((sigma, tau)))
+            side[draw(st.integers(0, ell - 1))] += draw(coordinates)
+    else:
+        sigma = draw(st.lists(coordinates, min_size=ell, max_size=ell))
+        tau = draw(st.lists(coordinates, min_size=ell, max_size=ell))
+    claimed = draw(st.sampled_from((ell, ell, ell, ell + 1)))
+    return claimed, sigma, tau
+
+
+@given(primal_points())
+@settings(max_examples=400, deadline=None)
+def test_check_primal_matches_fraction_scan(case):
+    ell, sigma, tau = case
+    assert check_primal(ell, sigma, tau) == fraction_check_primal(ell, sigma, tau)
 
 
 def test_every_gamma_value_self_verifies():
@@ -198,6 +250,42 @@ def test_perturbed_matrix_value():
         )
         assert cert.value == want
         assert cert.value < 1
+
+
+def fraction_value(matrix) -> Fraction:
+    """Oracle for DualCertificate.value: the plain Fraction sum of a / (i j)."""
+    return sum(
+        (
+            Fraction(a, i * j)
+            for i, row in enumerate(matrix, start=1)
+            for j, a in enumerate(row, start=1)
+        ),
+        Fraction(0),
+    )
+
+
+@st.composite
+def certificate_matrices(draw):
+    ell = draw(st.integers(1, 12))
+    zero_row = st.just((0,) * ell)
+    row = st.tuples(*[st.integers(0, 1000)] * ell)
+    return ell, tuple(draw(st.lists(zero_row | row, min_size=ell, max_size=ell)))
+
+
+@given(certificate_matrices())
+@settings(max_examples=300, deadline=None)
+def test_certificate_value_matches_fraction_sum(case):
+    ell, matrix = case
+    assert DualCertificate(ell=ell, matrix=matrix).value == fraction_value(matrix)
+
+
+def test_certificate_matrix_values_match_fraction_sum():
+    for ell in range(1, 61):
+        cert = dual_matrix(ell)
+        assert cert.value == fraction_value(cert.matrix) == 1, ell
+        if ell >= 4:
+            cert = perturbed_dual_matrix(ell)
+            assert cert.value == fraction_value(cert.matrix), ell
 
 
 def test_perturbed_needs_four():
