@@ -131,6 +131,29 @@ def size_bound(k: int, h: int) -> Fraction:
     return gamma(h).gamma * k + beta(h)
 
 
+def _check_threshold(
+    name: str, h_max: int, k0: int, h_split: int, tail: Fraction, tail_label: str
+) -> BoundReport:
+    """Heights 4..h_max are dead for k >= k0.
+
+    With K = k0 for h <= h_split and K = tail * h^2 above (the least k a
+    height-h set allows), each h needs gamma_h K + beta_h < K + 3.
+    """
+    if not (4 <= h_max <= 256):
+        raise ValueError(f"h_max must be in 4..256, got {h_max}")
+    slacks = []
+    for h in range(4, h_max + 1):
+        least_k = k0 if h <= h_split else tail * h * h
+        slacks.append(least_k + 3 - (gamma(h).gamma * least_k + beta(h)))
+    margin = min(slacks)
+    return BoundReport(
+        name=name,
+        range=f"h in 4..{h_max} ({k0}-family to {h_split}, {tail_label}-family above)",
+        holds=margin > 0,
+        margin=margin,
+    )
+
+
 def check_threshold_3225(h_max: int = 120) -> BoundReport:
     """Inequalities killing heights 4..h_max for k >= 3225.
 
@@ -139,27 +162,7 @@ def check_threshold_3225(h_max: int = 120) -> BoundReport:
     height h has k >= h^2 / 2, so gamma_h h^2/2 + beta_h < h^2/2 + 3
     suffices.  All comparisons exact.
     """
-    if not (4 <= h_max <= 256):
-        raise ValueError(f"h_max must be in 4..256, got {h_max}")
-    holds = True
-    margin: Fraction | None = None
-    for h in range(4, h_max + 1):
-        g = gamma(h).gamma
-        if h <= 80:
-            slack = Fraction(3228) - (3225 * g + beta(h))
-        else:
-            half = Fraction(h * h, 2)
-            slack = half + 3 - (g * half + beta(h))
-        if slack <= 0:
-            holds = False
-        if margin is None or slack < margin:
-            margin = slack
-    return BoundReport(
-        name="threshold-3225",
-        range=f"h in 4..{h_max} (3225-family to 80, h^2/2-family above)",
-        holds=holds,
-        margin=margin if margin is not None else Fraction(0),
-    )
+    return _check_threshold("threshold-3225", h_max, 3225, 80, Fraction(1, 2), "h^2/2")
 
 
 def check_threshold_1892(h_max: int = 66) -> BoundReport:
@@ -169,27 +172,7 @@ def check_threshold_1892(h_max: int = 66) -> BoundReport:
     the improved height reduction forces k >= 3 h^2 / 4, so
     gamma_h (3 h^2 / 4) + beta_h < 3 h^2 / 4 + 3 suffices.
     """
-    if not (4 <= h_max <= 256):
-        raise ValueError(f"h_max must be in 4..256, got {h_max}")
-    holds = True
-    margin: Fraction | None = None
-    for h in range(4, h_max + 1):
-        g = gamma(h).gamma
-        if h <= 50:
-            slack = Fraction(1895) - (1892 * g + beta(h))
-        else:
-            three_q = Fraction(3 * h * h, 4)
-            slack = three_q + 3 - (g * three_q + beta(h))
-        if slack <= 0:
-            holds = False
-        if margin is None or slack < margin:
-            margin = slack
-    return BoundReport(
-        name="threshold-1892",
-        range=f"h in 4..{h_max} (1892-family to 50, 3h^2/4-family above)",
-        holds=holds,
-        margin=margin if margin is not None else Fraction(0),
-    )
+    return _check_threshold("threshold-1892", h_max, 1892, 50, Fraction(3, 4), "3h^2/4")
 
 
 def check_size_bound(k_max: int = 40) -> BoundReport:

@@ -5,7 +5,7 @@ per-height pipeline), oracle (brute force), table (range sweep with
 closed-form reconciliation), lp-gamma, certify-dual, verify-height and
 bounds.  Exit codes: 0 ok, 1 usage, 2 a verification failed, 3 a size
 or time budget was exceeded.  Output is deterministic byte-for-byte for
-a fixed config and cache state.
+a fixed command line and cache state.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BudgetError, CacheError, VerificationError
@@ -41,53 +40,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    k: int | None = None
-    h: int | None = None
-    baseline: int | None = None
-    witness: bool = False
-    k_from: int | None = None
-    k_to: int | None = None
-    ell: int | None = None
-    ell_max: int | None = None
-    method: str = "guided"
-    perturbed: bool = False
-    suite: str = "all"
-    output: str = "text"
-    out_path: str | None = None
-    cache_dir: str | None = None
-    long_mode: bool = False
-    threads: int = 1
-    check: bool = True
-
-    def __post_init__(self):
-        if self.output not in ("text", "json", "csv"):
-            raise ValueError(f"bad output format {self.output!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
-    # shared flags live on a parent so they parse both before and after the
-    # subcommand name
+    # the shared flags go on each subcommand only, so a flag given before the
+    # subcommand name is a usage error rather than silently overwritten
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache-dir", default=None,
                         help="cache directory (env TORUSK_CACHE_DIR as fallback)")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=positive_int, default=1)
     common.add_argument("--long", action="store_true", dest="long_mode",
                         help="allow full-scale sweeps (hours)")
     common.add_argument("--out", default=None, help="write output here instead of stdout")
 
-    parser = _Parser(prog="torusk", description=__doc__.splitlines()[0],
-                     parents=[common])
+    parser = _Parser(prog="torusk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name: str, handler, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("compute", help="maximum k-nice set size via the search pipeline")
+    p = add_parser("compute", _run_compute,
+                   help="maximum k-nice set size via the search pipeline")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, default=None, help="restrict to one height")
     p.add_argument("--baseline", type=int, default=None,
@@ -95,69 +75,42 @@ def _build_parser() -> _Parser:
     p.add_argument("--witness", action="store_true", help="include a witness set")
     p.add_argument("--json", action="store_true")
 
-    p = add_parser("oracle", help="brute-force maximum for tiny k")
+    p = add_parser("oracle", _run_oracle, help="brute-force maximum for tiny k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = add_parser("table", help="k range sweep, closed form vs search")
+    p = add_parser("table", _run_table, help="k range sweep, closed form vs search")
     p.add_argument("--from", dest="k_from", type=int, required=True)
     p.add_argument("--to", dest="k_to", type=int, required=True)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--no-check", action="store_true",
                    help="emit closed-form values only, skip the search cross-check")
 
-    p = add_parser("lp-gamma", help="exact LP optimum gamma_ell")
-    p.add_argument("--l", dest="ell", type=int, default=None)
-    p.add_argument("--lmax", dest="ell_max", type=int, default=None,
-                   help="emit a csv table for ell = 1..lmax")
+    p = add_parser("lp-gamma", _run_lp_gamma, help="exact LP optimum gamma_ell")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--l", dest="ell", type=int, default=None)
+    which.add_argument("--lmax", dest="ell_max", type=positive_int, default=None,
+                       help="emit a csv table for ell = 1..lmax")
     p.add_argument("--method", choices=lp.METHODS, default="guided")
     p.add_argument("--csv", action="store_true")
 
-    p = add_parser("certify-dual", help="emit and verify a dual certificate matrix")
+    p = add_parser("certify-dual", _run_certify_dual,
+                   help="emit and verify a dual certificate matrix")
     p.add_argument("--l", dest="ell", type=int, required=True)
     p.add_argument("--perturbed", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = add_parser("verify-height", help="height reduction verdicts")
+    p = add_parser("verify-height", _run_verify_height, help="height reduction verdicts")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--from", dest="k_from", type=int, default=None)
     p.add_argument("--to", dest="k_to", type=int, default=None)
 
-    p = add_parser("bounds", help="inequality suite reports")
+    p = add_parser("bounds", _run_bounds, help="inequality suite reports")
     p.add_argument("--suite", choices=("sum210", "threshold-3225", "threshold-1892", "size-bound", "all"),
                    default="all")
     p.add_argument("--json", action="store_true")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    output = "text"
-    if getattr(args, "json", False):
-        output = "json"
-    elif getattr(args, "csv", False):
-        output = "csv"
-    cache_dir = args.cache_dir or os.environ.get("TORUSK_CACHE_DIR")
-    return RunConfig(
-        command=args.command,
-        k=getattr(args, "k", None),
-        h=getattr(args, "h", None),
-        baseline=getattr(args, "baseline", None),
-        witness=getattr(args, "witness", False),
-        k_from=getattr(args, "k_from", None),
-        k_to=getattr(args, "k_to", None),
-        ell=getattr(args, "ell", None),
-        ell_max=getattr(args, "ell_max", None),
-        method=getattr(args, "method", "guided"),
-        perturbed=getattr(args, "perturbed", False),
-        suite=getattr(args, "suite", "all"),
-        output=output,
-        out_path=args.out,
-        cache_dir=cache_dir,
-        long_mode=args.long_mode,
-        threads=args.threads,
-        check=not getattr(args, "no_check", False),
-    )
 
 
 def _load_gamma_cache(cache_dir: str) -> None:
@@ -177,30 +130,23 @@ def _save_gamma_cache(cache_dir: str) -> None:
         lp.save_gamma_cache(base / _GAMMA_CACHE, snapshot)
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(config.out_path).write_text(text)
-
-
-def _run_compute(config: RunConfig) -> tuple[str, int]:
-    k = config.k
-    if k is None or k < 1:
+def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
+    k = args.k
+    if k < 1:
         raise _UsageError("compute needs --k >= 1")
-    if config.baseline is not None and config.h is None:
+    if args.baseline is not None and args.h is None:
         raise _UsageError("compute --baseline needs --h")
-    if config.h is not None:
+    if args.h is not None:
         from .search import compute_with_witness
 
-        baseline = config.baseline if config.baseline is not None else 1
-        if not 2 <= config.h <= k:
-            raise _UsageError(f"compute needs 2 <= --h <= --k, got --h {config.h}")
+        baseline = args.baseline if args.baseline is not None else 1
+        if not 2 <= args.h <= k:
+            raise _UsageError(f"compute needs 2 <= --h <= --k, got --h {args.h}")
         if baseline < 1:
             raise _UsageError(f"compute needs --baseline >= 1, got {baseline}")
-        value, wit = compute_with_witness(k, config.h, baseline)
-        out = {"k": k, "h": config.h, "baseline": baseline, "value": value}
-        if config.witness and wit is not None:
+        value, wit = compute_with_witness(k, args.h, baseline)
+        out = {"k": k, "h": args.h, "baseline": baseline, "value": value}
+        if args.witness and wit is not None:
             out["witness"] = [[m, n] for (m, n) in wit.points]
         return json.dumps(out, sort_keys=True) + "\n", 0
     if k < 3:
@@ -210,19 +156,19 @@ def _run_compute(config: RunConfig) -> tuple[str, int]:
         return json.dumps(out, sort_keys=True) + "\n", 0
     outcome = max_size(k)
     payload = outcome.to_json_dict()
-    if not config.witness:
+    if not args.witness:
         payload.pop("witness", None)
-    if config.output == "json":
+    if args.json:
         return json.dumps(payload, sort_keys=True) + "\n", 0
     return f"N({k}) = {outcome.max_size}\n", 0
 
 
-def _run_oracle(config: RunConfig) -> tuple[str, int]:
-    k = config.k
-    if k is None or k < 1:
+def _run_oracle(args: argparse.Namespace) -> tuple[str, int]:
+    k = args.k
+    if k < 1:
         raise _UsageError("oracle needs --k >= 1")
     outcome = brute_force_max(k)
-    if config.output == "json":
+    if args.json:
         return json.dumps(outcome.to_json_dict(), sort_keys=True) + "\n", 0
     return f"N({k}) = {outcome.max_size}\n", 0
 
@@ -234,17 +180,15 @@ def _table_row(args: tuple[int, bool]) -> tuple[int, int, str, int | None]:
     return k, pv.value, pv.source, searched
 
 
-def _run_table(config: RunConfig) -> tuple[str, int]:
-    if config.k_from is None or config.k_to is None:
-        raise _UsageError("table needs --from and --to")
-    lo, hi = config.k_from, config.k_to
+def _run_table(args: argparse.Namespace) -> tuple[str, int]:
+    lo, hi = args.k_from, args.k_to
     if lo < 1 or hi < lo:
         raise _UsageError("table needs 1 <= from <= to")
-    if hi - lo > 2000 and not config.long_mode:
+    if hi - lo > 2000 and not args.long_mode:
         raise BudgetError(f"table range {lo}..{hi} needs --long")
-    jobs = [(k, config.check) for k in range(lo, hi + 1)]
-    if config.threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    jobs = [(k, not args.no_check) for k in range(lo, hi + 1)]
+    if args.threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_table_row, jobs, chunksize=8))
     else:
         rows = [_table_row(j) for j in jobs]
@@ -260,31 +204,28 @@ def _run_table(config: RunConfig) -> tuple[str, int]:
     return text, 0
 
 
-def _run_lp_gamma(config: RunConfig) -> tuple[str, int]:
-    if config.ell_max is not None:
-        return lp.density_table_csv(config.ell_max, method=config.method), 0
-    if config.ell is None:
-        raise _UsageError("lp-gamma needs --l or --lmax")
-    if config.ell < 1:
-        raise _UsageError(f"lp-gamma needs --l >= 1, got --l {config.ell}")
-    value = lp.gamma(config.ell, method=config.method)
-    g = value.gamma
+def _run_lp_gamma(args: argparse.Namespace) -> tuple[str, int]:
+    if args.ell_max is not None:
+        return lp.density_table_csv(args.ell_max, method=args.method), 0
+    if args.ell < 1:
+        raise _UsageError(f"lp-gamma needs --l >= 1, got --l {args.ell}")
+    g = lp.gamma(args.ell, method=args.method).gamma
     return f"{g.numerator}/{g.denominator} ({lp.format_round4(g)})\n", 0
 
 
-def _run_certify_dual(config: RunConfig) -> tuple[str, int]:
-    ell = config.ell
-    if ell is None or ell < 1:
+def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
+    ell = args.ell
+    if ell < 1:
         raise _UsageError("certify-dual needs --l >= 1")
-    if config.perturbed and ell < 4:
+    if args.perturbed and ell < 4:
         raise _UsageError(f"certify-dual --perturbed needs --l >= 4, got --l {ell}")
-    cert = lp.perturbed_dual_matrix(ell) if config.perturbed else lp.dual_matrix(ell)
-    cert.verify()
+    # both constructors verify the matrix and its exact value
+    cert = lp.perturbed_dual_matrix(ell) if args.perturbed else lp.dual_matrix(ell)
     value = cert.value
-    if config.output == "json":
+    if args.json:
         payload = {
             "ell": ell,
-            "perturbed": config.perturbed,
+            "perturbed": args.perturbed,
             "matrix": [list(row) for row in cert.matrix],
             "value_num": value.numerator,
             "value_den": value.denominator,
@@ -297,21 +238,21 @@ def _run_certify_dual(config: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _run_verify_height(config: RunConfig) -> tuple[str, int]:
-    if config.k is not None and config.h is not None:
-        if not 2 <= config.h <= config.k:
+def _run_verify_height(args: argparse.Namespace) -> tuple[str, int]:
+    if args.k is not None and args.h is not None:
+        if not 2 <= args.h <= args.k:
             raise _UsageError(
-                f"verify-height needs 2 <= --h <= --k, got --k {config.k} --h {config.h}"
+                f"verify-height needs 2 <= --h <= --k, got --k {args.k} --h {args.h}"
             )
-        verdicts = [verify_height(config.k, config.h)]
-    elif config.k_from is not None and config.k_to is not None:
-        if config.k_from < 0:
+        verdicts = [verify_height(args.k, args.h)]
+    elif args.k_from is not None and args.k_to is not None:
+        if args.k_from < 0:
             raise _UsageError(
-                f"verify-height needs --from >= 0, got --from {config.k_from}"
+                f"verify-height needs --from >= 0, got --from {args.k_from}"
             )
-        if config.k_to - config.k_from > 5000 and not config.long_mode:
+        if args.k_to - args.k_from > 5000 and not args.long_mode:
             raise BudgetError("verify-height sweep that large needs --long")
-        verdicts = sweep(config.k_from, config.k_to, config.threads)
+        verdicts = sweep(args.k_from, args.k_to, args.threads)
     else:
         raise _UsageError("verify-height needs --k/--h or --from/--to")
     rows = [v.to_json_dict() for v in verdicts]
@@ -324,16 +265,16 @@ def _run_verify_height(config: RunConfig) -> tuple[str, int]:
     return text, 0
 
 
-def _run_bounds(config: RunConfig) -> tuple[str, int]:
+def _run_bounds(args: argparse.Namespace) -> tuple[str, int]:
     suites = {
         "sum210": bounds_mod.check_sum210,
         "threshold-3225": lambda: bounds_mod.check_threshold_3225(120),
         "threshold-1892": lambda: bounds_mod.check_threshold_1892(66),
         "size-bound": lambda: bounds_mod.check_size_bound(40),
     }
-    names = list(suites) if config.suite == "all" else [config.suite]
+    names = list(suites) if args.suite == "all" else [args.suite]
     reports = [suites[name]() for name in names]
-    if config.output == "json":
+    if args.json:
         text = "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
                        for r in reports)
     else:
@@ -348,48 +289,30 @@ def _run_bounds(config: RunConfig) -> tuple[str, int]:
     return text, 0
 
 
-_DISPATCH = {
-    "compute": _run_compute,
-    "oracle": _run_oracle,
-    "table": _run_table,
-    "lp-gamma": _run_lp_gamma,
-    "certify-dual": _run_certify_dual,
-    "verify-height": _run_verify_height,
-    "bounds": _run_bounds,
-}
-
-
-def run(config: RunConfig) -> int:
-    use_cache = config.cache_dir is not None and config.command in _GAMMA_COMMANDS
-    if use_cache:
-        _load_gamma_cache(config.cache_dir)
+def main(argv: list[str] | None = None) -> int:
     try:
-        text, code = _DISPATCH[config.command](config)
+        args = _build_parser().parse_args(argv)
+        cache_dir = args.cache_dir or os.environ.get("TORUSK_CACHE_DIR")
+        use_cache = cache_dir is not None and args.command in _GAMMA_COMMANDS
+        if use_cache:
+            _load_gamma_cache(cache_dir)
+        text, code = args.handler(args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    _emit(config, text)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
     if use_cache:
-        _save_gamma_cache(config.cache_dir)
+        _save_gamma_cache(cache_dir)
     return code
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
-    except (_UsageError, ValueError) as exc:  # ValueError: RunConfig rejected a value
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run(config)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -289,9 +289,6 @@ def _solve_guided(ell: int) -> GammaValue | None:
     if x is None:
         return None
     sigma, tau = x[:ell], x[ell:]
-    if check_primal(ell, sigma, tau) is not None:
-        return None
-    g = primal_objective(ell, sigma, tau)
 
     # Exact multipliers on the guessed support: y^T A = c on the coordinates
     # where the vertex is nonzero (complementary slackness).
@@ -307,17 +304,17 @@ def _solve_guided(ell: int) -> GammaValue | None:
         (keys[r], y) for r, y in zip(support, ysol) if y != 0
     )
     value = sum((y * rows[r][1] for r, y in zip(support, ysol)), ZERO)
-    witness = LpDualWitness(ell=ell, multipliers=multipliers, value=value)
-    if value != g or check_dual(ell, witness) is not None:
-        return None
     gv = GammaValue(
         ell=ell,
-        gamma=g,
+        gamma=primal_objective(ell, sigma, tau),
         witness_primal=(tuple(sigma), tuple(tau)),
-        witness_dual=witness,
+        witness_dual=LpDualWitness(ell=ell, multipliers=multipliers, value=value),
         method="guided",
     )
-    verify_gamma(gv)
+    try:
+        verify_gamma(gv)
+    except VerificationError:
+        return None
     return gv
 
 
@@ -501,6 +498,10 @@ def format_round4(x: Fraction) -> str:
 
 def density_table_csv(ell_max: int, method: str = "guided") -> str:
     """CSV of rho, alpha, gamma, beta rounded to 4 decimals, ell = 1..ell_max."""
+    if ell_max > LP_SIZE_BUDGET:
+        raise BudgetError(
+            f"ell = {ell_max} exceeds the LP size budget {LP_SIZE_BUDGET}"
+        )
     lines = ["ell,rho,alpha,gamma,beta"]
     for ell in range(1, ell_max + 1):
         t = numtheory.triples(ell)

@@ -116,40 +116,29 @@ def _window_max(row: Row, lo: int, hi: int) -> int:
     return x if x > y else y
 
 
-@dataclass(frozen=True)
-class SearchFrame:
-    """Recursion state: rows above ell are fixed and contribute n_gt points.
-
-    lower/upper are 1-based admissible x-intervals for rows 1..ell
-    (index 0 is padding); they only shrink as the recursion descends.
-    """
-
-    ell: int
-    n_gt: int
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.lower) != self.ell + 1 or len(self.upper) != self.ell + 1:
-            raise ValueError("lower/upper must cover rows 1..ell plus padding")
-
-
 def _backtrack(
     k: int,
     h: int,
     N: int,
-    frame: SearchFrame,
+    ell: int,
+    n_gt: int,
+    L: list[int],
+    U: list[int],
     tables: IntervalTables,
     choices: list[tuple[int, int, int]],
     best: list,
 ) -> int:
-    ell, n_gt = frame.ell, frame.n_gt
+    """Best size above N with rows above ell fixed, contributing n_gt points.
+
+    L[i]..U[i] is row i's admissible x-interval for i = 1..ell (index 0 is
+    padding); the lists may run past ell, are only read, and the intervals
+    only shrink as the recursion descends.
+    """
     if ell == 0:
         # every path reaching the bottom was pruned against the current N,
         # so n_gt + 1 (the +1 is the point (1,0)) is a strict improvement
         best[0] = list(choices)
         return n_gt + 1
-    L, U = frame.lower, frame.upper
     rows = [None] + [tables.row(i) for i in range(1, ell)]
     if ell < h:
         # option: leave row ell empty (the top row h must stay occupied)
@@ -158,11 +147,7 @@ def _backtrack(
             if L[i] <= U[i]:
                 np += _window_max(rows[i], L[i], U[i])
         if np > N:
-            N = _backtrack(
-                k, h, N,
-                SearchFrame(ell - 1, n_gt, L[:ell], U[:ell]),
-                tables, choices, best,
-            )
+            N = _backtrack(k, h, N, ell - 1, n_gt, L, U, tables, choices, best)
     lo_ell, hi_ell = L[ell], U[ell]
     if lo_ell > hi_ell:
         return N
@@ -210,18 +195,10 @@ def _backtrack(
                 continue
             choices.append((ell, a, b))
             N = _backtrack(
-                k, h, N,
-                SearchFrame(ell - 1, n_gt + row_count, tuple(lower), tuple(upper)),
-                tables, choices, best,
+                k, h, N, ell - 1, n_gt + row_count, lower, upper, tables, choices, best
             )
             choices.pop()
     return N
-
-
-def _root_frame(k: int, h: int) -> SearchFrame:
-    lower = (0, 0) + (1,) * (h - 1)
-    upper = (0,) + (k,) * h
-    return SearchFrame(h, 0, lower, upper)
 
 
 def _witness_from_choices(k: int, choices: list[tuple[int, int, int]]) -> NiceSet:
@@ -245,7 +222,9 @@ def compute_with_witness(
         raise ValueError("tables were built for a different k")
     best: list = [None]
     choices: list[tuple[int, int, int]] = []
-    result = _backtrack(k, h, N, _root_frame(k, h), tables, choices, best)
+    lower = [0, 0] + [1] * (h - 1)
+    upper = [0] + [k] * h
+    result = _backtrack(k, h, N, h, 0, lower, upper, tables, choices, best)
     if result <= N or best[0] is None:
         return result, None
     witness = _witness_from_choices(k, best[0])

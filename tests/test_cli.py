@@ -116,6 +116,44 @@ def test_threads_below_one_is_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--out", "OUT/result.txt", "compute", "--k", "5"),
+        ("--cache-dir", "OUT/cache", "lp-gamma", "--l", "4"),
+        ("--threads", "0", "compute", "--k", "5"),
+        ("--long", "compute", "--k", "5"),
+    ],
+)
+def test_shared_flag_before_subcommand_is_usage_error(tmp_path, capsys, argv):
+    argv = [a.replace("OUT", str(tmp_path)) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("--lmax", "0"), 1),
+        (("--lmax", "-3"), 1),
+        (("--l", "4", "--lmax", "2"), 1),
+        (("--lmax", "257"), 3),
+    ],
+)
+def test_lp_gamma_lmax_bounds_checked_before_solving(monkeypatch, capsys, argv, want):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("gamma solved before the bounds were checked")
+
+    monkeypatch.setattr(lp, "gamma", no_solve)
+    code, out, err = run_cli(capsys, "lp-gamma", *argv)
+    assert code == want
+    assert out == ""
+    assert err.startswith("budget exceeded:" if want == 3 else "usage error:")
+
+
 def test_oracle_text(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--k", "5")
     assert code == 0

@@ -230,6 +230,31 @@ def test_simplex_request_keeps_guided_memo(monkeypatch):
     assert gamma(7) is guided
 
 
+@pytest.mark.parametrize("ell", [4, 9])
+def test_unverified_guided_candidate_falls_back(monkeypatch, ell):
+    # _solve_guided solves for the vertex, then for the multipliers; doubling
+    # the multipliers leaves them dual feasible but opens a duality gap
+    real = lp.solve_rational_system
+    calls = []
+
+    def doubled_multipliers(rows, rhs, n):
+        calls.append(n)
+        x = real(rows, rhs, n)
+        return x if len(calls) == 1 or x is None else [2 * y for y in x]
+
+    monkeypatch.setattr(lp, "solve_rational_system", doubled_multipliers)
+    monkeypatch.setattr(lp, "_gamma_memo", {})
+    assert _solve_guided(ell) is None
+    calls.clear()
+    gv = gamma(ell)
+    assert len(calls) == 2
+    assert gv.method == "simplex"
+    assert format_round4(gv.gamma) == ROUNDED[ell]
+    verify_gamma(gv)
+    if ell == 4:
+        assert gv.gamma == Fraction(35, 36)
+
+
 def test_dual_matrix_row_and_column_sums():
     for ell in (1, 2, 3, 7, 20, 45):
         cert = dual_matrix(ell)
