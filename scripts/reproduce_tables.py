@@ -1,8 +1,9 @@
 """Regenerate the result tables: density constants and exact maxima.
 
-Writes density.csv and maxima.csv into --outdir (default out/).  The
-maxima sweep cross-checks the search against the closed form for every k
-and refuses to write anything on a mismatch.
+Builds both tables, then writes density.csv and maxima.csv into --outdir
+(default out/).  The maxima sweep cross-checks the search against the
+closed form for every k, and a mismatch exits with code 1 before anything
+is written.
 
     python scripts/reproduce_tables.py --lmax 20 --kmax 200
 """
@@ -19,19 +20,15 @@ from torusk.lp import density_table_csv
 from torusk.search import max_size
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--lmax", type=int, default=20)
     ap.add_argument("--kmax", type=int, default=200)
     ap.add_argument("--outdir", default="out")
-    args = ap.parse_args()
-
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    args = ap.parse_args(argv)
 
     t0 = time.time()
     density = density_table_csv(args.lmax, method="simplex")
-    (outdir / "density.csv").write_text(density)
     print(f"density.csv: ell = 1..{args.lmax} ({time.time() - t0:.1f}s)")
 
     t0 = time.time()
@@ -47,8 +44,12 @@ def main() -> int:
         lines.append(f"{k},{out.max_size},{pv.source},{hw}")
         if k % 50 == 0:
             print(f"  ...k = {k} ({time.time() - t0:.1f}s)")
-    (outdir / "maxima.csv").write_text("\n".join(lines) + "\n")
     print(f"maxima.csv: k = 3..{args.kmax}, all match ({time.time() - t0:.1f}s)")
+
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "density.csv").write_text(density)
+    (outdir / "maxima.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 

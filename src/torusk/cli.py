@@ -107,8 +107,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", dest="k_to", type=int, default=None)
 
     p = add_parser("bounds", _run_bounds, help="inequality suite reports")
-    p.add_argument("--suite", choices=("sum210", "threshold-3225", "threshold-1892", "size-bound", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=("sum210", "threshold-3225", "threshold-1892", "size-bound",
+                                       "density-threshold", "all"), default="all")
     p.add_argument("--json", action="store_true")
     return parser
 
@@ -271,6 +271,7 @@ def _run_bounds(args: argparse.Namespace) -> tuple[str, int]:
         "threshold-3225": lambda: bounds_mod.check_threshold_3225(120),
         "threshold-1892": lambda: bounds_mod.check_threshold_1892(66),
         "size-bound": lambda: bounds_mod.check_size_bound(40),
+        "density-threshold": bounds_mod.check_density_threshold,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     reports = [suites[name]() for name in names]

@@ -13,12 +13,13 @@ Two monotonicity facts keep the per-pair work small.  With b >= a and
 i >= 1, row i's lower end under row ell's choice [a, b] is
 max(L[i], ceil((b*i - k)/ell)), a function of b alone, and its upper end
 min(U[i], floor((a*i + k)/ell)) is a function of a alone; both are
-computed once per node or per a, not per pair.  And since the lower ends
-only grow with b, taking them at b = a, plus row ell's window maximum
-over [a, U[ell]], bounds every pair with that a, so one comparison can
-discard the whole b loop.  Every prune drops only candidates whose bound
-is <= N, so the recursion visits the same improving paths in the same
-order as a plain per-pair scan.
+computed once per node or per a, not per pair.  Since the lower ends
+only grow with b, row i's term at b = a bounds it for every pair with
+that a.  An a's bound starts from the node's per-row maxima plus row
+ell's widest window from a, swaps in a's terms row by row and drops a
+once it is <= N; a surviving a's terms bound each pair in O(1).  Every
+prune drops only candidates whose bound is <= N, so the recursion visits
+the same improving paths in the same order as a plain per-pair scan.
 
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
@@ -140,14 +141,16 @@ def _backtrack(
         best[0] = list(choices)
         return n_gt + 1
     rows = [None] + [tables.row(i) for i in range(1, ell)]
-    if ell < h:
+    base = n_gt + 1
+    # full[i] bounds row i over [L[i], U[i]], so over every subinterval too
+    full = [0] * ell
+    for i in range(1, ell):
+        if L[i] <= U[i]:
+            full[i] = _window_max(rows[i], L[i], U[i])
+    top = base + sum(full)
+    if ell < h and top > N:
         # option: leave row ell empty (the top row h must stay occupied)
-        np = n_gt + 1
-        for i in range(1, ell):
-            if L[i] <= U[i]:
-                np += _window_max(rows[i], L[i], U[i])
-        if np > N:
-            N = _backtrack(k, h, N, ell - 1, n_gt, L, U, tables, choices, best)
+        N = _backtrack(k, h, N, ell - 1, n_gt, L, U, tables, choices, best)
     lo_ell, hi_ell = L[ell], U[ell]
     if lo_ell > hi_ell:
         return N
@@ -164,28 +167,34 @@ def _backtrack(
     for b in range(lo_ell, hi_ell + 1):
         if gcd(b, ell) == 1:
             lows[b] = [0] + [max(L[i], -((k - b * i) // ell)) for i in range(1, ell)]
-    base = n_gt + 1
     for a in range(lo_ell, hi_ell + 1):
-        if a not in lows:
+        lower_a = lows.get(a)
+        if lower_a is None:
             continue
-        upper = [0] + [min(U[i], (a * i + k) // ell) for i in range(1, ell)]
-        # Per-a bound, valid for every b >= a: lows[b][i] >= lows[a][i]
-        # shrinks row i's interval, and row ell's count over an admissible
-        # [a, b] is at most its window maximum over [a, U[ell]].
-        lower_a = lows[a]
-        bound = base + _window_max(row_ell, a, hi_ell)
-        for i in range(1, ell):
-            lo, hi = lower_a[i], upper[i]
+        # every b <= b_max keeps (b - a) * ell <= k and counts <= span in row
+        # ell, and lows[b] >= lower_a; each swap of full[i] only lowers bound
+        b_max = min(hi_ell, a + w_ell)
+        span = pre_ell[b_max + 1] - pre_ell[a]
+        bound = top + span
+        for i in range(ell - 1, 0, -1):
+            lo, hi = lower_a[i], min(U[i], (a * i + k) // ell)
+            bound -= full[i]
             if lo <= hi:
                 bound += _window_max(rows[i], lo, hi)
+            if bound <= N:
+                break
         if bound <= N:
             continue
-        # (b - a) * ell <= k, i.e. b <= a + k // ell
-        for b in range(a, min(hi_ell, a + w_ell) + 1):
+        # rest + row ell's count bounds each pair (a, b) in O(1)
+        rest = bound - span
+        upper = [0] + [min(U[i], (a * i + k) // ell) for i in range(1, ell)]
+        for b in range(a, b_max + 1):
             lower = lows.get(b)
             if lower is None:
                 continue
             row_count = pre_ell[b + 1] - pre_ell[a]
+            if rest + row_count <= N:
+                continue
             np = base + row_count
             for i in range(1, ell):
                 lo, hi = lower[i], upper[i]

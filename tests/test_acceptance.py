@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 from math import gcd, isqrt
 
+import pytest
+
 from torusk import lattice, numtheory
 from torusk.bounds import check_sum210, check_threshold_3225, check_threshold_1892, size_bound
 from torusk.closedform import (
@@ -68,14 +70,18 @@ def test_01_density_table_rounds_to_reference():
     _report(1, "density table ell 1..20, 4-decimal match", t0)
 
 
-def test_02_exact_maxima_match_closed_form_to_200():
-    t0 = time.time()
-    for k in range(3, 201):
+def _check_maxima(ks) -> None:
+    for k in ks:
         out = max_size(k)
         want = pattern_or_table(k).value
         assert out.max_size == want, f"k={k}: search {out.max_size}, closed {want}"
         assert out.witness is not None and len(out.witness.points) == want, k
         assert lattice.check_k_nice(out.witness.points, k) is None, k
+
+
+def test_02_exact_maxima_match_closed_form_to_200():
+    t0 = time.time()
+    _check_maxima(range(3, 201))
     covered = [k for k in EXCEPTIONS if 3 <= k <= 200]
     assert len(covered) == 45  # every tabulated exception in range exercised
     _report(2, "maximum sizes k = 3..200 with valid witnesses", t0)
@@ -196,3 +202,13 @@ def test_08_structural_properties():
             assert compute(k, h, n) == max(floor_value, n)
 
     _report(8, "invariance, hull area, window counts, baseline monotonicity", t0)
+
+
+@pytest.mark.slow
+def test_09_exact_maxima_match_table_201_to_400():
+    # opt-in (pytest -m slow): re-derives every tabulated exception above 200
+    t0 = time.time()
+    _check_maxima(range(201, 401))
+    above = [k for k in EXCEPTIONS if k > 200]
+    assert len(above) == 12 and max(above) <= 400  # every one above 200 searched
+    _report(9, "maximum sizes k = 201..400 with valid witnesses", t0)

@@ -253,6 +253,22 @@ def test_bounds_json(capsys):
     assert payload["equality_points"] == [105, 210]
 
 
+def test_bounds_density_threshold_text(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--suite", "density-threshold")
+    assert code == 0
+    assert out == ("density-threshold: holds over h0 = 41020, k = 841320200,"
+                   " min margin 163344274/11865\n")
+
+
+def test_bounds_density_threshold_json(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--suite", "density-threshold", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["name"] == "density-threshold"
+    assert payload["holds"] is True
+    assert (payload["margin_num"], payload["margin_den"]) == (163344274, 11865)
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.txt"
     code, out, _ = run_cli(capsys, "compute", "--k", "5", "--out", str(target))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusk import lattice
+from torusk import lattice, search
 from torusk.closedform import pattern_or_table
 from torusk.heights import ROT, reduce_height_sqrt2k, verify_height
 from torusk.oracle import brute_force_max
@@ -191,3 +191,94 @@ def test_canonical_box_holds_every_maximal_set(q):
     assert len(canon) == len(closed) >= len(q)
     assert {(1, 0), (0, 1), (1, 1)} <= set(canon.points)
     assert all(0 <= m <= k and 0 <= n <= isqrt(2 * k) for m, n in canon.points)
+
+
+def _reference_backtrack(k, h, N, ell, n_gt, L, U, tables, choices, best):
+    """The recursion of search._backtrack as a plain per-pair scan.
+
+    Every (a, b) pair is scored through the validated IntervalTables API,
+    row i's interval is cut by both endpoints of row ell on both sides,
+    and nothing is pruned but a pair (or an empty row) whose bound is <= N.
+    """
+    if ell == 0:
+        best[0] = list(choices)
+        return n_gt + 1
+
+    def score(lower, upper):
+        return sum(
+            tables.window_max(i, lower[i], upper[i])
+            for i in range(1, ell)
+            if lower[i] <= upper[i]
+        )
+
+    if ell < h and n_gt + 1 + score(L, U) > N:
+        N = _reference_backtrack(k, h, N, ell - 1, n_gt, L, U, tables, choices, best)
+    for a in range(L[ell], U[ell] + 1):
+        for b in range(a, U[ell] + 1):
+            if gcd(a, ell) != 1 or gcd(b, ell) != 1 or (b - a) * ell > k:
+                continue
+            lower = [0] + [
+                max(L[i], -((k - a * i) // ell), -((k - b * i) // ell))
+                for i in range(1, ell)
+            ]
+            upper = [0] + [
+                min(U[i], (a * i + k) // ell, (b * i + k) // ell)
+                for i in range(1, ell)
+            ]
+            row_count = tables.count(ell, a, b)
+            if n_gt + 1 + row_count + score(lower, upper) <= N:
+                continue
+            choices.append((ell, a, b))
+            N = _reference_backtrack(
+                k, h, N, ell - 1, n_gt + row_count, lower, upper, tables, choices, best
+            )
+            choices.pop()
+    return N
+
+
+def _reference_compute(k, h, N, tables):
+    best = [None]
+    lower = [0, 0] + [1] * (h - 1)
+    upper = [0] + [k] * h
+    result = _reference_backtrack(k, h, N, h, 0, lower, upper, tables, [], best)
+    if result <= N:
+        return result, None
+    points = [(1, 0)] + [
+        (z, ell) for ell, a, b in best[0] for z in range(a, b + 1) if gcd(z, ell) == 1
+    ]
+    return result, lattice.NiceSet.from_points(points, k)
+
+
+def test_search_prunes_match_plain_pair_scan():
+    # the per-a bound and the pair pre-filter may only skip work: value and
+    # witness must be those of scoring every pair
+    for k in range(13, 49):
+        n_k = pattern_or_table(k).value
+        tables = IntervalTables(k)
+        for h in range(2, isqrt(2 * k) + 1):
+            for baseline in (1, k + 2, n_k - 1):
+                want = _reference_compute(k, h, baseline, tables)
+                assert compute_with_witness(k, h, baseline, tables) == want, (
+                    k, h, baseline)
+
+
+def test_search_prune_work_stays_pinned(monkeypatch):
+    # A prune that weakens without changing answers (say, a per-a early exit
+    # that lets a bound equal to N through) passes the plain-scan test, so
+    # count the row lookups of a fixed sweep: 43,718 is the count with every
+    # prune dropping bounds <= N (97,010 before the per-a early exit).
+    calls = 0
+    real = search._window_max
+
+    def counting(row, lo, hi):
+        nonlocal calls
+        calls += 1
+        return real(row, lo, hi)
+
+    monkeypatch.setattr(search, "_window_max", counting)
+    for k in range(40, 49):
+        n_k = pattern_or_table(k).value
+        tables = IntervalTables(k)
+        for h in range(2, isqrt(2 * k) + 1):
+            compute(k, h, n_k - 1, tables)
+    assert calls <= 43_718
