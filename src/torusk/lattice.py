@@ -44,11 +44,13 @@ def check_k_nice(points, k: int) -> str | None:
         if (-m, -n) in seen:
             return f"antipodal pair {(-m, -n)} and {p}"
         seen.add(p)
+    # pair_measure inlined: this loop is quadratic in the set's size
     for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            d = pair_measure(p, q)
+        m, n = p
+        for mq, nq in pts[i + 1 :]:
+            d = abs(m * nq - mq * n)
             if d > k:
-                return f"pair_measure{p, q} = {d} > k = {k}"
+                return f"pair_measure{p, (mq, nq)} = {d} > k = {k}"
     return None
 
 

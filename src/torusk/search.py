@@ -12,14 +12,19 @@ window-capped coprime-count upper bounds.
 Two monotonicity facts keep the per-pair work small.  With b >= a and
 i >= 1, row i's lower end under row ell's choice [a, b] is
 max(L[i], ceil((b*i - k)/ell)), a function of b alone, and its upper end
-min(U[i], floor((a*i + k)/ell)) is a function of a alone; both are
-computed once per node or per a, not per pair.  Since the lower ends
-only grow with b, row i's term at b = a bounds it for every pair with
-that a.  An a's bound starts from the node's per-row maxima plus row
-ell's widest window from a, swaps in a's terms row by row and drops a
-once it is <= N; a surviving a's terms bound each pair in O(1).  Every
-prune drops only candidates whose bound is <= N, so the recursion visits
-the same improving paths in the same order as a plain per-pair scan.
+min(U[i], floor((a*i + k)/ell)) is a function of a alone.  Since the
+lower ends only grow with b, row i's term (its window maximum) at b = a
+bounds it for every pair with that a.  Each node gets from its parent
+every row's window maximum over that row's interval; an a's bound starts
+from their sum plus row ell's widest window from a, swaps in a's terms
+row by row and drops a once it is <= N.  A surviving a's terms plus row
+ell's count bound each pair in O(1); a pair past that is scored by
+swapping each row's term at a for its term at (a, b), again stopping at
+<= N, and the lower ends at b are built only then, once per node.  The
+terms of a pair that descends are exactly the child's window maxima, so
+they are handed down instead of recomputed.  Every prune drops only
+candidates whose bound is <= N, so the recursion visits the same
+improving paths in the same order as a plain per-pair scan.
 
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
@@ -125,6 +130,7 @@ def _backtrack(
     n_gt: int,
     L: list[int],
     U: list[int],
+    full: list[int],
     tables: IntervalTables,
     choices: list[tuple[int, int, int]],
     best: list,
@@ -132,79 +138,99 @@ def _backtrack(
     """Best size above N with rows above ell fixed, contributing n_gt points.
 
     L[i]..U[i] is row i's admissible x-interval for i = 1..ell (index 0 is
-    padding); the lists may run past ell, are only read, and the intervals
-    only shrink as the recursion descends.
+    padding), and full[i] for 1 <= i < ell is row i's window maximum over
+    it (0 when the interval is empty).  The lists may run past ell, are
+    only read, and the intervals only shrink as the recursion descends.
     """
     if ell == 0:
         # every path reaching the bottom was pruned against the current N,
         # so n_gt + 1 (the +1 is the point (1,0)) is a strict improvement
         best[0] = list(choices)
         return n_gt + 1
-    rows = [None] + [tables.row(i) for i in range(1, ell)]
     base = n_gt + 1
     # full[i] bounds row i over [L[i], U[i]], so over every subinterval too
-    full = [0] * ell
-    for i in range(1, ell):
-        if L[i] <= U[i]:
-            full[i] = _window_max(rows[i], L[i], U[i])
-    top = base + sum(full)
+    top = base + sum(full[:ell])
     if ell < h and top > N:
-        # option: leave row ell empty (the top row h must stay occupied)
-        N = _backtrack(k, h, N, ell - 1, n_gt, L, U, tables, choices, best)
+        # option: leave row ell empty (the top row h must stay occupied);
+        # rows below keep their intervals and so their bounds
+        N = _backtrack(k, h, N, ell - 1, n_gt, L, U, full, tables, choices, best)
     lo_ell, hi_ell = L[ell], U[ell]
     if lo_ell > hi_ell:
         return N
     # Choosing [a, b] for row ell confines row i < ell to
     # [max(L[i], ceil((b*i - k)/ell)), min(U[i], floor((a*i + k)/ell))];
     # the bounds from the other endpoint never bind because b >= a and
-    # i >= 1.  So lower ends depend only on b (tabled once per node as
-    # lows[b]) and upper ends only on a (computed once per a).  They are
-    # lists, not tuples: dead tuples of these sizes stay on CPython's
-    # tuple free lists and would add megabytes to the peak RSS.
+    # i >= 1.  So upper ends depend only on a and lower ends only on b, and
+    # since lower ends only grow with b, row i's term at b = a bounds it
+    # for every pair with that a.  Per node, terms[i] and upper[i] hold
+    # row i's term and upper end at the current a, sub[i] its term at the
+    # current pair, and lows[b] the lower ends at b, built the first time
+    # a pair with that b is scored in full.  A child reads upper, sub and
+    # lows[b] only until it returns.  They are lists, not tuples: dead
+    # tuples of these sizes stay on CPython's tuple free lists and would
+    # add megabytes to the peak RSS.
+    rows = [None] + [tables.row(i) for i in range(1, ell)]
     row_ell = tables.row(ell)
     w_ell, pre_ell = row_ell[0], row_ell[1]
+    terms = [0] * ell
+    upper = [0] * ell
+    sub = [0] * ell
     lows: dict[int, list[int]] = {}
-    for b in range(lo_ell, hi_ell + 1):
-        if gcd(b, ell) == 1:
-            lows[b] = [0] + [max(L[i], -((k - b * i) // ell)) for i in range(1, ell)]
     for a in range(lo_ell, hi_ell + 1):
-        lower_a = lows.get(a)
-        if lower_a is None:
-            continue
-        # every b <= b_max keeps (b - a) * ell <= k and counts <= span in row
-        # ell, and lows[b] >= lower_a; each swap of full[i] only lowers bound
-        b_max = min(hi_ell, a + w_ell)
+        if pre_ell[a + 1] == pre_ell[a]:
+            continue  # gcd(a, ell) > 1
+        # every b <= b_max keeps (b - a) * ell <= k and counts <= span in
+        # row ell; swapping full[i] for row i's term at a only lowers bound
+        b_max = a + w_ell
+        if b_max > hi_ell:
+            b_max = hi_ell
         span = pre_ell[b_max + 1] - pre_ell[a]
         bound = top + span
         for i in range(ell - 1, 0, -1):
-            lo, hi = lower_a[i], min(U[i], (a * i + k) // ell)
-            bound -= full[i]
-            if lo <= hi:
-                bound += _window_max(rows[i], lo, hi)
+            lo = -((k - a * i) // ell)
+            if lo < L[i]:
+                lo = L[i]
+            hi = (a * i + k) // ell
+            if hi > U[i]:
+                hi = U[i]
+            upper[i] = hi
+            t = _window_max(rows[i], lo, hi) if lo <= hi else 0
+            terms[i] = t
+            bound += t - full[i]
             if bound <= N:
                 break
         if bound <= N:
             continue
-        # rest + row ell's count bounds each pair (a, b) in O(1)
+        # rest + row ell's count bounds each pair (a, b) in O(1); a pair
+        # scored in full swaps each row's term at a for its term at (a, b),
+        # which only lowers the bound, and stops once it is <= N
         rest = bound - span
-        upper = [0] + [min(U[i], (a * i + k) // ell) for i in range(1, ell)]
         for b in range(a, b_max + 1):
-            lower = lows.get(b)
-            if lower is None:
-                continue
+            if pre_ell[b + 1] == pre_ell[b]:
+                continue  # gcd(b, ell) > 1
             row_count = pre_ell[b + 1] - pre_ell[a]
-            if rest + row_count <= N:
-                continue
-            np = base + row_count
-            for i in range(1, ell):
-                lo, hi = lower[i], upper[i]
-                if lo <= hi:
-                    np += _window_max(rows[i], lo, hi)
+            np = rest + row_count
             if np <= N:
                 continue
+            lower = lows.get(b)
+            if lower is None:
+                lower = lows[b] = [0] + [
+                    max(L[i], -((k - b * i) // ell)) for i in range(1, ell)
+                ]
+            for i in range(ell - 1, 0, -1):
+                lo, hi = lower[i], upper[i]
+                t = _window_max(rows[i], lo, hi) if lo <= hi else 0
+                sub[i] = t
+                np += t - terms[i]
+                if np <= N:
+                    break
+            if np <= N:
+                continue
+            # sub now holds the child's window maxima over [lower, upper]
             choices.append((ell, a, b))
             N = _backtrack(
-                k, h, N, ell - 1, n_gt + row_count, lower, upper, tables, choices, best
+                k, h, N, ell - 1, n_gt + row_count, lower, upper, sub, tables,
+                choices, best,
             )
             choices.pop()
     return N
@@ -233,7 +259,8 @@ def compute_with_witness(
     choices: list[tuple[int, int, int]] = []
     lower = [0, 0] + [1] * (h - 1)
     upper = [0] + [k] * h
-    result = _backtrack(k, h, N, h, 0, lower, upper, tables, choices, best)
+    full = [0] + [_window_max(tables.row(i), lower[i], k) for i in range(1, h)]
+    result = _backtrack(k, h, N, h, 0, lower, upper, full, tables, choices, best)
     if result <= N or best[0] is None:
         return result, None
     witness = _witness_from_choices(k, best[0])

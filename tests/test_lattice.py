@@ -64,6 +64,24 @@ def test_check_k_nice_reasons():
     assert "pair_measure" in check_k_nice([(1, 0), (0, 1), (2, 1), (1, 2)], 2)
 
 
+@given(st.lists(points, max_size=12), st.integers(0, 60))
+@settings(max_examples=200)
+def test_check_k_nice_reports_first_pair_like_pair_measure_scan(pts, k):
+    # the measure check inlines pair_measure; it must report the same first
+    # violating pair, with the same text, as a scan through pair_measure
+    pts = [p for i, p in enumerate(pts) if not {p, (-p[0], -p[1])} & set(pts[:i])]
+    want = next(
+        (
+            f"pair_measure{p, q} = {pair_measure(p, q)} > k = {k}"
+            for i, p in enumerate(pts)
+            for q in pts[i + 1 :]
+            if pair_measure(p, q) > k
+        ),
+        None,
+    )
+    assert check_k_nice(pts, k) == want
+
+
 def test_nice_set_validation_and_roundtrips():
     q = NiceSet.from_points([(1, 0), (0, 1), (1, 1)], 1)
     assert len(q) == 3 and (1, 1) in q

@@ -263,10 +263,13 @@ def test_search_prunes_match_plain_pair_scan():
 
 
 def test_search_prune_work_stays_pinned(monkeypatch):
-    # A prune that weakens without changing answers (say, a per-a early exit
-    # that lets a bound equal to N through) passes the plain-scan test, so
-    # count the row lookups of a fixed sweep: 43,718 is the count with every
-    # prune dropping bounds <= N (97,010 before the per-a early exit).
+    # A prune that weakens without changing answers (say, an early exit
+    # that lets a bound equal to N through, or a child handed a looser row
+    # bound than its own intervals give) passes the plain-scan test, so
+    # count the row lookups of a fixed sweep: 32,215 is the count with every
+    # prune dropping bounds <= N and each child handed its pair's row terms
+    # (43,718 before the early-exit pair scoring, 97,010 before the per-a
+    # early exit).
     calls = 0
     real = search._window_max
 
@@ -281,4 +284,31 @@ def test_search_prune_work_stays_pinned(monkeypatch):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute(k, h, n_k - 1, tables)
-    assert calls <= 43_718
+    assert calls <= 32_215
+
+
+def test_passed_down_bounds_match_recomputed(monkeypatch):
+    # each node reads its rows' window maxima from the full list its parent
+    # hands down instead of recomputing them; they must be exactly the
+    # maxima over the node's own intervals, or prunes start from a wrong bound
+    real = search._backtrack
+    nodes = 0
+
+    def checking(k, h, N, ell, n_gt, L, U, full, tables, choices, best):
+        nonlocal nodes
+        nodes += 1
+        for i in range(1, ell):
+            want = (
+                search._window_max(tables.row(i), L[i], U[i]) if L[i] <= U[i] else 0
+            )
+            assert full[i] == want, (k, h, ell, i)
+        return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best)
+
+    monkeypatch.setattr(search, "_backtrack", checking)
+    for k in range(13, 41):
+        n_k = pattern_or_table(k).value
+        tables = IntervalTables(k)
+        for h in range(2, isqrt(2 * k) + 1):
+            for baseline in (1, n_k - 1):
+                compute(k, h, baseline, tables)
+    assert nodes > 0
