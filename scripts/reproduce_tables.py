@@ -3,7 +3,8 @@
 Builds both tables, then writes density.csv and maxima.csv into --outdir
 (default out/).  The maxima sweep cross-checks the search against the
 closed form for every k, and a mismatch exits with code 1 before anything
-is written.
+is written.  --kmax must be >= 3 and --lmax in 1..256 (the LP size budget);
+any other value is a usage error (exit 2) and nothing is written.
 
     python scripts/reproduce_tables.py --lmax 20 --kmax 200
 """
@@ -16,14 +17,26 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from torusk.closedform import pattern_or_table
-from torusk.lp import density_table_csv
+from torusk.lp import LP_SIZE_BUDGET, density_table_csv
 from torusk.search import max_size
+
+
+def int_in(lo: int, hi: int | None = None):
+    """argparse type: an int in [lo, hi] (no upper end when hi is None)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            upper = "" if hi is None else f" and <= {hi}"
+            raise argparse.ArgumentTypeError(f"must be >= {lo}{upper}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid" message
+    return parse
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--lmax", type=int, default=20)
-    ap.add_argument("--kmax", type=int, default=200)
+    ap.add_argument("--lmax", type=int_in(1, LP_SIZE_BUDGET), default=20)
+    ap.add_argument("--kmax", type=int_in(3), default=200)
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args(argv)
 

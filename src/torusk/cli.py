@@ -27,6 +27,7 @@ from .search import max_size
 
 _GAMMA_CACHE = "gamma.txt"
 _GAMMA_COMMANDS = ("lp-gamma", "bounds")  # the commands that load and save it
+CERTIFY_BUDGET = 2000  # largest certify-dual --l without --long
 
 
 class _UsageError(Exception):
@@ -219,6 +220,9 @@ def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
         raise _UsageError("certify-dual needs --l >= 1")
     if args.perturbed and ell < 4:
         raise _UsageError(f"certify-dual --perturbed needs --l >= 4, got --l {ell}")
+    # memory grows with ell^2: about 80 MB (110 MB with --json) at the budget
+    if ell > CERTIFY_BUDGET and not args.long_mode:
+        raise BudgetError(f"certify-dual --l {ell} exceeds {CERTIFY_BUDGET}; pass --long")
     # both constructors verify the matrix and its exact value
     cert = lp.perturbed_dual_matrix(ell) if args.perturbed else lp.dual_matrix(ell)
     value = cert.value

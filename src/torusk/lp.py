@@ -37,7 +37,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from pathlib import Path
 
@@ -406,28 +406,40 @@ class DualCertificate:
         ell = self.ell
         if len(self.matrix) != ell or any(len(r) != ell for r in self.matrix):
             raise VerificationError(f"certificate matrix is not {ell} x {ell}")
+        phi = numtheory.totients(ell)
         for i, row in enumerate(self.matrix, start=1):
             if min(row) < 0:
                 raise VerificationError(f"negative entry in row {i}")
-            if sum(row) > numtheory.totient(i):
+            if sum(row) > phi[i]:
                 raise VerificationError(f"row {i} sum exceeds phi({i})")
         for j, col in enumerate(zip(*self.matrix), start=1):
-            if sum(col) < numtheory.totient(j):
+            if sum(col) < phi[j]:
                 raise VerificationError(f"column {j} sum below phi({j})")
+
+
+def _dual_rows(ell: int) -> list[tuple[int, ...]]:
+    """Rows of dual_matrix(ell): entry (i, j) is 1 exactly when
+    i + j >= ell + 1 and gcd(i, j) = 1.  Row i's window j = ell+1-i .. ell
+    holds i consecutive j, one of each residue mod i, so it is the mask of
+    residues coprime to i rotated to start at (ell + 1 - i) mod i."""
+    rows = []
+    for i in range(1, ell + 1):
+        mask = bytearray(b"\x01") * i
+        for p in numtheory.prime_factors(i):
+            mask[::p] = bytes(i // p)
+        s = (ell + 1 - i) % i
+        rows.append(tuple(bytes(ell - i) + mask[s:] + mask[:s]))
+    return rows
 
 
 def dual_matrix(ell: int) -> DualCertificate:
     """Entry (i, j) is 1 exactly when i + j >= ell + 1 and gcd(i, j) = 1.
     Each row i then covers a window of i consecutive j's, so row and column
-    sums are exactly phi, and the value is exactly 1."""
+    sums are exactly phi, and the value is exactly 1.  The rows come from
+    _dual_rows; the certificate is verified and its value checked here."""
     if ell < 1:
         raise ValueError(f"dual_matrix needs ell >= 1, got {ell}")
-    matrix = tuple(
-        (0,) * (ell - i)
-        + tuple(1 if gcd(i, j) == 1 else 0 for j in range(ell + 1 - i, ell + 1))
-        for i in range(1, ell + 1)
-    )
-    cert = DualCertificate(ell=ell, matrix=matrix)
+    cert = DualCertificate(ell=ell, matrix=tuple(_dual_rows(ell)))
     cert.verify()
     if cert.value != 1:
         raise VerificationError(f"dual_matrix({ell}) value is {cert.value}, not 1")
@@ -442,14 +454,18 @@ def perturbed_dual_matrix(ell: int) -> DualCertificate:
 
     Row and column sums are unchanged and the value drops to
     1 - 2 * (1/(ell-2) - 1/(ell-1)) * (1/(ell-1) - 1/ell) < 1.
+
+    The unperturbed rows come straight from _dual_rows, so only this
+    certificate is built and verified; only its last three rows are copied
+    and bumped.
     """
     if ell < 4:
         raise ValueError(f"perturbed_dual_matrix needs ell >= 4, got {ell}")
-    base = dual_matrix(ell).matrix
-    m = [list(row) for row in base]
+    rows = _dual_rows(ell)
+    last = [list(row) for row in rows[-3:]]  # rows ell-2, ell-1, ell
 
     def bump(i: int, j: int, delta: int) -> None:
-        m[i - 1][j - 1] += delta
+        last[i - ell + 2][j - 1] += delta
 
     bump(ell - 2, ell - 1, -1)
     bump(ell - 1, ell - 2, -1)
@@ -458,7 +474,8 @@ def perturbed_dual_matrix(ell: int) -> DualCertificate:
     bump(ell - 2, ell, +1)
     bump(ell, ell - 2, +1)
     bump(ell - 1, ell - 1, +2)
-    cert = DualCertificate(ell=ell, matrix=tuple(tuple(r) for r in m))
+    rows[-3:] = map(tuple, last)
+    cert = DualCertificate(ell=ell, matrix=tuple(rows))
     cert.verify()
     expected = gamma_upper_bound(ell)
     if cert.value != expected:

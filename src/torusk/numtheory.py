@@ -50,6 +50,18 @@ def totient(n: int) -> int:
     return result
 
 
+def totients(n: int) -> list[int]:
+    """[0, phi(1), ..., phi(n)] from one sieve; totient is its test oracle."""
+    if n < 0:
+        raise ValueError(f"totients needs n >= 0, got {n}")
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # no smaller prime reduced it, so p is prime
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
 def squarefree_divisors(ell: int) -> list[tuple[int, int]]:
     """Pairs (d, mu(d)) for d ranging over divisors of rad(ell)."""
     divs = [(1, 1)]

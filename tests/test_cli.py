@@ -224,6 +224,31 @@ def test_certify_dual_text(capsys):
     assert out.strip().split("\n")[-1] == "feasible, value = 1/1 (1.0000)"
 
 
+@pytest.mark.parametrize("extra", [(), ("--perturbed",), ("--json",)])
+def test_certify_dual_budget_checked_before_building(monkeypatch, capsys, extra):
+    def no_build(ell):
+        raise AssertionError(f"certificate for ell = {ell} built before the budget check")
+
+    monkeypatch.setattr(lp, "dual_matrix", no_build)
+    monkeypatch.setattr(lp, "perturbed_dual_matrix", no_build)
+    code, out, err = run_cli(capsys, "certify-dual", "--l", "2001", *extra)
+    assert code == 3
+    assert out == ""
+    assert err == "budget exceeded: certify-dual --l 2001 exceeds 2000; pass --long\n"
+
+
+def test_certify_dual_long_lifts_budget(monkeypatch, capsys):
+    real, built = lp.dual_matrix, []
+
+    def small(ell):
+        built.append(ell)
+        return real(4)
+
+    monkeypatch.setattr(lp, "dual_matrix", small)
+    code, _, _ = run_cli(capsys, "certify-dual", "--l", "2001", "--long")
+    assert (code, built) == (0, [2001])
+
+
 def test_verify_height_failure_exit(capsys):
     code, out, err = run_cli(capsys, "verify-height", "--k", "3", "--h", "2")
     assert code == 2

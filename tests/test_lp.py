@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from torusk.lp import (
     GammaValue,
     LP_SIZE_BUDGET,
     LpDualWitness,
+    _dual_rows,
     _solve_by_generation,
     _solve_guided,
     check_dual,
@@ -311,6 +313,74 @@ def test_certificate_matrix_values_match_fraction_sum():
         if ell >= 4:
             cert = perturbed_dual_matrix(ell)
             assert cert.value == fraction_value(cert.matrix), ell
+
+
+def gcd_rows(ell: int) -> tuple[tuple[int, ...], ...]:
+    """Oracle for _dual_rows: one gcd per entry of each row's window."""
+    return tuple(
+        (0,) * (ell - i)
+        + tuple(1 if gcd(i, j) == 1 else 0 for j in range(ell + 1 - i, ell + 1))
+        for i in range(1, ell + 1)
+    )
+
+
+def test_dual_rows_match_gcd_oracle():
+    for ell in range(1, LP_SIZE_BUDGET + 1):
+        assert tuple(_dual_rows(ell)) == gcd_rows(ell), ell
+
+
+def _rejection(ell: int, edit) -> str:
+    rows = [list(row) for row in dual_matrix(ell).matrix]
+    edit(rows)
+    cert = DualCertificate(ell=ell, matrix=tuple(map(tuple, rows)))
+    with pytest.raises(VerificationError) as exc:
+        cert.verify()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((1, 0, 0), (0, 1), (1, 1, 1)),  # ragged
+        ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)),  # 3 rows of 4
+        ((1, 0, 0), (0, 1, 0)),  # 2 rows of 3
+    ],
+)
+def test_certificate_rejects_wrong_shape(matrix):
+    with pytest.raises(VerificationError) as exc:
+        DualCertificate(ell=3, matrix=matrix).verify()
+    assert str(exc.value) == "certificate matrix is not 3 x 3"
+
+
+def test_certificate_rejects_negative_entry():
+    def edit(rows):
+        rows[2][0] = -1
+        rows[2][4] += 1  # row and column sums stay feasible
+
+    assert _rejection(5, edit) == "negative entry in row 3"
+
+
+# Every certificate the constructors build sits inside its bounds, so a
+# loosened or dropped check passes every positive test.  A sum one past phi
+# in each row and one short of it in each column pins each bound at each
+# index (a phi table off by one index fails these too).
+@pytest.mark.parametrize("ell", [12, 30])
+def test_certificate_rejects_row_sum_above_phi(ell):
+    for i in range(1, ell + 1):
+        def edit(rows):
+            rows[i - 1][0] += 1
+
+        assert _rejection(ell, edit) == f"row {i} sum exceeds phi({i})", i
+
+
+@pytest.mark.parametrize("ell", [12, 30])
+def test_certificate_rejects_column_sum_below_phi(ell):
+    for j in range(1, ell + 1):
+        def edit(rows):
+            i = next(i for i in range(ell) if rows[i][j - 1] == 1)
+            rows[i][j - 1] = 0
+
+        assert _rejection(ell, edit) == f"column {j} sum below phi({j})", j
 
 
 def test_perturbed_needs_four():

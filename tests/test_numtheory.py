@@ -16,6 +16,7 @@ from torusk.numtheory import (
     small_prime_part,
     squarefree_divisors,
     totient,
+    totients,
     triples,
 )
 
@@ -31,6 +32,15 @@ def test_totient_small():
     expected = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 10: 4, 12: 4, 36: 12}
     for n, phi in expected.items():
         assert totient(n) == phi
+
+
+def test_totients_match_totient():
+    oracle = [0] + [totient(n) for n in range(1, 2001)]
+    assert totients(0) == [0]
+    for n in range(1, 2001):
+        assert totients(n) == oracle[: n + 1], n
+    with pytest.raises(ValueError):
+        totients(-1)
 
 
 def test_squarefree_divisors_moebius():
