@@ -223,9 +223,8 @@ def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
     # memory grows with ell^2: about 80 MB (110 MB with --json) at the budget
     if ell > CERTIFY_BUDGET and not args.long_mode:
         raise BudgetError(f"certify-dual --l {ell} exceeds {CERTIFY_BUDGET}; pass --long")
-    # both constructors verify the matrix and its exact value
-    cert = lp.perturbed_dual_matrix(ell) if args.perturbed else lp.dual_matrix(ell)
-    value = cert.value
+    # the constructor verifies the matrix and returns the exact value it checked
+    cert, value = lp._certified_dual(ell, args.perturbed)
     if args.json:
         payload = {
             "ell": ell,

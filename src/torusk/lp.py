@@ -14,11 +14,14 @@ statements about gamma.
 
 Two solution paths, both ending in exact rational certificates:
 
-* the default for every ell: a floating-point solve (HiGHS) proposes an
-  active set, the vertex and multipliers are reconstructed by sparse exact
-  elimination (every row has two nonzeros), and the pair is accepted only
-  if primal feasibility, dual feasibility and equality of objectives all
-  verify exactly; any failure falls back to the simplex path;
+* the default for every ell: a floating-point solve (HiGHS) of the band
+  relaxation, the link rows plus the rows i * tau_j - j * sigma_i <= 1 with
+  i + j >= ell + 1 (the support of dual_matrix), proposes an active set;
+  the vertex and multipliers are reconstructed by sparse exact elimination
+  (every row has two nonzeros), and the pair is accepted only if primal
+  feasibility over every row of LP(ell), dual feasibility and equality of
+  objectives all verify exactly; any failure falls back to the simplex
+  path;
 * exact simplex with constraint generation over the O(ell^2) pair
   constraints: the fallback, method="simplex", and the independent oracle
   the tests compare the default path against.
@@ -37,7 +40,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 from pathlib import Path
 
@@ -78,8 +81,9 @@ class GammaValue:
 
 
 def _objective(ell: int):
-    rhos = [numtheory.rho(i) for i in range(1, ell + 1)]
-    return [-r for r in rhos] + list(rhos)
+    phi = numtheory.totients(ell)
+    rhos = [Fraction(phi[i], i) for i in range(1, ell + 1)]
+    return [-r for r in rhos] + rhos
 
 
 def _row_entries(ell: int, key: RowKey) -> tuple[dict[int, int], int]:
@@ -95,6 +99,13 @@ def _pair_value(sigma, tau, i, j) -> Fraction:
     return i * tau[j - 1] - j * sigma[i - 1]
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Integers N_i and D > 0 with values[i] = N_i / D, D the lcm of the
+    denominators (ints and Fractions alike)."""
+    big = lcm(*(x.denominator for x in values))
+    return [x.numerator * (big // x.denominator) for x in values], big
+
+
 def check_primal(ell: int, sigma, tau) -> str | None:
     """None if (sigma, tau) is feasible for LP(ell), else a description of
     the first violated constraint.  The coordinates (ints or Fractions) are
@@ -103,9 +114,8 @@ def check_primal(ell: int, sigma, tau) -> str | None:
     int arithmetic."""
     if len(sigma) != ell or len(tau) != ell:
         return "wrong dimension"
-    big = lcm(*(x.denominator for x in sigma), *(x.denominator for x in tau))
-    s_int = [x.numerator * (big // x.denominator) for x in sigma]
-    t_int = [x.numerator * (big // x.denominator) for x in tau]
+    scaled, big = _scaled([*sigma, *tau])
+    s_int, t_int = scaled[:ell], scaled[ell:]
     for i, (s, t) in enumerate(zip(s_int, t_int), start=1):
         if s < 0:
             return f"sigma_{i} < 0"
@@ -120,9 +130,16 @@ def check_primal(ell: int, sigma, tau) -> str | None:
 
 
 def primal_objective(ell: int, sigma, tau) -> Fraction:
-    return sum(
-        numtheory.rho(i) * (tau[i - 1] - sigma[i - 1]) for i in range(1, ell + 1)
+    """sum_i rho(i) (tau_i - sigma_i), with rho(i) = phi(i) / i, as one
+    integer numerator over D * lcm(1..ell)."""
+    scaled, big = _scaled([*sigma, *tau])
+    s_int, t_int = scaled[: len(sigma)], scaled[len(sigma) :]
+    phi = numtheory.totients(ell)
+    span = lcm(*range(1, ell + 1))
+    total = sum(
+        phi[i] * (span // i) * (t_int[i - 1] - s_int[i - 1]) for i in range(1, ell + 1)
     )
+    return Fraction(total, big * span)
 
 
 def _is_row_key(ell: int, key) -> bool:
@@ -143,23 +160,30 @@ def check_dual(ell: int, witness: LpDualWitness) -> str | None:
     """None if the multipliers certify value >= optimum (dual feasibility).
     Every key must name a row of LP(ell); anything else is rejected, so a
     witness read from outside the program cannot index past the columns or
-    scale a row."""
-    col = [ZERO] * (2 * ell)  # accumulated y^T A per structural column
-    value = ZERO
+    scale a row.  The multipliers are scaled to integers over D, the lcm of
+    their denominators, so column idx of y^T A is col[idx] / D and the
+    bound col / D >= +-rho(i) reads col * i >= +-phi(i) * D."""
     for key, y in witness.multipliers:
         if not _is_row_key(ell, key):
             return f"not a row of LP({ell}): {key!r}"
         if y < 0:
             return f"negative multiplier on {key}"
+    scaled, big = _scaled([y for _, y in witness.multipliers])
+    col = [0] * (2 * ell)  # D * (y^T A) per structural column
+    value = 0
+    for (key, _), y in zip(witness.multipliers, scaled):
         entries, rhs = _row_entries(ell, key)
         for idx, a in entries.items():
             col[idx] += y * a
         value += y * rhs
-    cvec = _objective(ell)
+    phi = numtheory.totients(ell)
     for idx in range(2 * ell):
-        if col[idx] < cvec[idx]:
+        i = idx % ell + 1
+        bound = phi[i] * big if idx >= ell else -phi[i] * big
+        if col[idx] * i < bound:
             return f"dual infeasible at column {idx}"
-    if value != witness.value:
+    stated = witness.value
+    if value * stated.denominator != stated.numerator * big:
         return "stated value does not match multipliers"
     return None
 
@@ -241,43 +265,60 @@ def _package(ell: int, sol: LpSolution, work: list[RowKey], method: str) -> Gamm
 # --- float-guided path ------------------------------------------------------
 
 
-def _all_row_keys(ell: int):
-    yield from (("link", i) for i in range(1, ell + 1))
-    for i in range(1, ell + 1):
-        for j in range(1, ell + 1):
-            yield ("pair", i, j, 1)
-            yield ("pair", i, j, -1)
+def _band_key(ell: int, r: int) -> RowKey:
+    """Key of row r of the band relaxation: the ell link rows, then the
+    pairs (i, j, +1) with i + j >= ell + 1 by i and then j.  Each i owns
+    the i pairs j = ell + 1 - i .. ell, from pair p = i (i - 1) / 2 on."""
+    if r < ell:
+        return ("link", r + 1)
+    p = r - ell
+    i = (1 + isqrt(8 * p + 1)) // 2
+    return ("pair", i, ell + 1 - i + p - i * (i - 1) // 2, 1)
 
 
 def _solve_guided(ell: int) -> GammaValue | None:
     """Propose an optimal active set with HiGHS, then rebuild and verify the
     vertex and multipliers exactly.  Returns None when anything fails to
-    check out; the caller falls back to the exact simplex."""
+    check out; the caller falls back to the exact simplex.
+
+    HiGHS sees only the band relaxation (the link rows and the upper pair
+    rows with i + j >= ell + 1, where dual_matrix lives): ell + ell(ell+1)/2
+    rows instead of ell + 2 ell^2.  The band loses nothing: rows (ell, j),
+    (i, ell) and link ell give i tau_j - j sigma_i <= (i + j) / ell, which
+    covers the upper rows with i + j <= ell, and the links bound each lower
+    row j sigma_i - i tau_j by the upper row j tau_i - i sigma_j.  The
+    rebuilt vertex is checked against every row of LP(ell) by verify_gamma
+    all the same, so a float slip still falls back instead of passing."""
     import numpy as np
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
-    keys = list(_all_row_keys(ell))
-    rows = [_row_entries(ell, key) for key in keys]
     n = 2 * ell
-    data = [float(a) for entries, _ in rows for a in entries.values()]
-    cols = [idx for entries, _ in rows for idx in entries]
-    # every row has exactly two entries, so row r owns data[2r:2r + 2]
-    a_ub = csr_matrix((data, cols, range(0, len(cols) + 1, 2)), shape=(len(keys), n))
-    rhs_f = np.array([float(b) for _, b in rows])
+    links = np.arange(1, ell + 1)
+    # band pair p is (i[p], j[p]): i copies of each i, with j = ell+1-i .. ell
+    i = np.repeat(links, links)
+    j = ell + 1 - i + np.arange(i.size) - i * (i - 1) // 2
+    # every row has exactly two entries, so row r owns data[2r:2r + 2];
+    # the order matches _row_entries
+    cols = np.concatenate([np.column_stack([links - 1, ell + links - 1]).ravel(),
+                           np.column_stack([ell + j - 1, i - 1]).ravel()])
+    data = np.concatenate([np.tile([1.0, -1.0], ell),
+                           np.column_stack([i, -j]).ravel().astype(float)])
+    m = ell + i.size
+    a_ub = csr_matrix((data, cols, np.arange(0, 2 * m + 1, 2)), shape=(m, n))
+    rhs_f = np.concatenate([np.zeros(ell), np.ones(i.size)])
     cvec = _objective(ell)
     c_f = np.array([-float(v) for v in cvec])  # linprog minimizes
     res = linprog(c_f, A_ub=a_ub, b_ub=rhs_f, bounds=(0, None), method="highs")
     if not res.success:
         return None
 
-    marginals = res.ineqlin.marginals
-    slacks = res.slack
-    support = [r for r in range(len(keys)) if abs(marginals[r]) > 1e-9]
-    tight = [r for r in range(len(keys)) if abs(slacks[r]) < 1e-7]
-    pos = {idx for idx in range(n) if res.x[idx] > 1e-9}
+    support = np.flatnonzero(np.abs(res.ineqlin.marginals) > 1e-9).tolist()
+    tight = np.flatnonzero(np.abs(res.slack) < 1e-7).tolist()
+    pos = set(np.flatnonzero(res.x > 1e-9).tolist())
     if not support or not pos:
         return None
+    rows = {r: _row_entries(ell, _band_key(ell, r)) for r in {*support, *tight}}
 
     # Exact vertex: active rows restricted to the positive coordinates; the
     # other coordinates then appear in no row and come back as zero.
@@ -301,7 +342,7 @@ def _solve_guided(ell: int) -> GammaValue | None:
     if ysol is None:
         return None
     multipliers = tuple(
-        (keys[r], y) for r, y in zip(support, ysol) if y != 0
+        (_band_key(ell, r), y) for r, y in zip(support, ysol) if y != 0
     )
     value = sum((y * rows[r][1] for r, y in zip(support, ysol)), ZERO)
     gv = GammaValue(
@@ -432,18 +473,47 @@ def _dual_rows(ell: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _certified_dual(ell: int, perturbed: bool) -> tuple[DualCertificate, Fraction]:
+    """dual_matrix(ell) or perturbed_dual_matrix(ell), verified, with the
+    exact value that was checked (computed once, so a caller that prints it
+    does not compute it again)."""
+    if perturbed and ell < 4:
+        raise ValueError(f"perturbed_dual_matrix needs ell >= 4, got {ell}")
+    if ell < 1:
+        raise ValueError(f"dual_matrix needs ell >= 1, got {ell}")
+    rows = _dual_rows(ell)
+    if perturbed:
+        last = [list(row) for row in rows[-3:]]  # rows ell-2, ell-1, ell
+
+        def bump(i: int, j: int, delta: int) -> None:
+            last[i - ell + 2][j - 1] += delta
+
+        bump(ell - 2, ell - 1, -1)
+        bump(ell - 1, ell - 2, -1)
+        bump(ell - 1, ell, -1)
+        bump(ell, ell - 1, -1)
+        bump(ell - 2, ell, +1)
+        bump(ell, ell - 2, +1)
+        bump(ell - 1, ell - 1, +2)
+        rows[-3:] = map(tuple, last)
+    cert = DualCertificate(ell=ell, matrix=tuple(rows))
+    cert.verify()
+    value = cert.value
+    if perturbed:
+        expected = gamma_upper_bound(ell)
+        if value != expected:
+            raise VerificationError(f"perturbed_dual_matrix({ell}) value {value} != {expected}")
+    elif value != 1:
+        raise VerificationError(f"dual_matrix({ell}) value is {value}, not 1")
+    return cert, value
+
+
 def dual_matrix(ell: int) -> DualCertificate:
     """Entry (i, j) is 1 exactly when i + j >= ell + 1 and gcd(i, j) = 1.
     Each row i then covers a window of i consecutive j's, so row and column
     sums are exactly phi, and the value is exactly 1.  The rows come from
     _dual_rows; the certificate is verified and its value checked here."""
-    if ell < 1:
-        raise ValueError(f"dual_matrix needs ell >= 1, got {ell}")
-    cert = DualCertificate(ell=ell, matrix=tuple(_dual_rows(ell)))
-    cert.verify()
-    if cert.value != 1:
-        raise VerificationError(f"dual_matrix({ell}) value is {cert.value}, not 1")
-    return cert
+    return _certified_dual(ell, perturbed=False)[0]
 
 
 def perturbed_dual_matrix(ell: int) -> DualCertificate:
@@ -459,30 +529,7 @@ def perturbed_dual_matrix(ell: int) -> DualCertificate:
     certificate is built and verified; only its last three rows are copied
     and bumped.
     """
-    if ell < 4:
-        raise ValueError(f"perturbed_dual_matrix needs ell >= 4, got {ell}")
-    rows = _dual_rows(ell)
-    last = [list(row) for row in rows[-3:]]  # rows ell-2, ell-1, ell
-
-    def bump(i: int, j: int, delta: int) -> None:
-        last[i - ell + 2][j - 1] += delta
-
-    bump(ell - 2, ell - 1, -1)
-    bump(ell - 1, ell - 2, -1)
-    bump(ell - 1, ell, -1)
-    bump(ell, ell - 1, -1)
-    bump(ell - 2, ell, +1)
-    bump(ell, ell - 2, +1)
-    bump(ell - 1, ell - 1, +2)
-    rows[-3:] = map(tuple, last)
-    cert = DualCertificate(ell=ell, matrix=tuple(rows))
-    cert.verify()
-    expected = gamma_upper_bound(ell)
-    if cert.value != expected:
-        raise VerificationError(
-            f"perturbed_dual_matrix({ell}) value {cert.value} != {expected}"
-        )
-    return cert
+    return _certified_dual(ell, perturbed=True)[0]
 
 
 def gamma_upper_bound(ell: int) -> Fraction:

@@ -226,9 +226,10 @@ def test_certify_dual_text(capsys):
 
 @pytest.mark.parametrize("extra", [(), ("--perturbed",), ("--json",)])
 def test_certify_dual_budget_checked_before_building(monkeypatch, capsys, extra):
-    def no_build(ell):
+    def no_build(ell, *_):
         raise AssertionError(f"certificate for ell = {ell} built before the budget check")
 
+    monkeypatch.setattr(lp, "_certified_dual", no_build)
     monkeypatch.setattr(lp, "dual_matrix", no_build)
     monkeypatch.setattr(lp, "perturbed_dual_matrix", no_build)
     code, out, err = run_cli(capsys, "certify-dual", "--l", "2001", *extra)
@@ -238,13 +239,13 @@ def test_certify_dual_budget_checked_before_building(monkeypatch, capsys, extra)
 
 
 def test_certify_dual_long_lifts_budget(monkeypatch, capsys):
-    real, built = lp.dual_matrix, []
+    real, built = lp._certified_dual, []
 
-    def small(ell):
+    def small(ell, perturbed):
         built.append(ell)
-        return real(4)
+        return real(4, perturbed)
 
-    monkeypatch.setattr(lp, "dual_matrix", small)
+    monkeypatch.setattr(lp, "_certified_dual", small)
     code, _, _ = run_cli(capsys, "certify-dual", "--l", "2001", "--long")
     assert (code, built) == (0, [2001])
 

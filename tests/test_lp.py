@@ -1,6 +1,7 @@
 """gamma(ell): exact solves, witnesses, certificates, cache."""
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusk import lp, numtheory
 from torusk.errors import BudgetError, CacheError, VerificationError
+from torusk.simplex import solve_max
 from torusk.lp import (
     DualCertificate,
     GammaValue,
@@ -120,6 +122,155 @@ def test_check_primal_matches_fraction_scan(case):
     assert check_primal(ell, sigma, tau) == fraction_check_primal(ell, sigma, tau)
 
 
+def fraction_primal_objective(ell, sigma, tau) -> Fraction:
+    """Oracle for primal_objective: the plain Fraction sum."""
+    return sum(
+        (numtheory.rho(i) * (tau[i - 1] - sigma[i - 1]) for i in range(1, ell + 1)),
+        Fraction(0),
+    )
+
+
+@given(primal_points())
+@settings(max_examples=300, deadline=None)
+def test_primal_objective_matches_fraction_sum(case):
+    _, sigma, tau = case
+    ell = len(sigma)
+    assert primal_objective(ell, sigma, tau) == fraction_primal_objective(ell, sigma, tau)
+
+
+def test_objective_matches_rho():
+    rhos = [numtheory.rho(i) for i in range(1, LP_SIZE_BUDGET + 1)]
+    for ell in range(1, LP_SIZE_BUDGET + 1):
+        assert lp._objective(ell) == [-r for r in rhos[:ell]] + rhos[:ell], ell
+
+
+def fraction_check_dual(ell, witness):
+    """Oracle for check_dual: the same checks and messages, with y^T A
+    accumulated in Fractions and compared with +-rho(i) directly."""
+    col = [Fraction(0)] * (2 * ell)
+    value = Fraction(0)
+    for key, y in witness.multipliers:
+        if not lp._is_row_key(ell, key):
+            return f"not a row of LP({ell}): {key!r}"
+        if y < 0:
+            return f"negative multiplier on {key}"
+        if key[0] == "link":
+            col[key[1] - 1] += y
+            col[ell + key[1] - 1] -= y
+        else:
+            _, i, j, sign = key
+            col[ell + j - 1] += sign * i * y
+            col[i - 1] -= sign * j * y
+            value += y
+    for idx in range(2 * ell):
+        rho = numtheory.rho(idx % ell + 1)
+        if col[idx] < (rho if idx >= ell else -rho):
+            return f"dual infeasible at column {idx}"
+    if value != witness.value:
+        return "stated value does not match multipliers"
+    return None
+
+
+@st.composite
+def dual_witnesses(draw):
+    """(ell, witness): gamma(ell)'s own multipliers, which are dual feasible
+    and tight on every column where its vertex is nonzero, sometimes with
+    one multiplier moved (possibly below zero); or random multipliers on
+    random rows of LP(ell).  The stated value is the true one or a little
+    off."""
+    ell = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        multipliers = list(gamma(ell).witness_dual.multipliers)
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(multipliers) - 1))
+            key, y = multipliers[k]
+            multipliers[k] = (key, y + draw(st.fractions(-1, 1, max_denominator=20)))
+    else:
+        rows = st.builds(lambda i: ("link", i), st.integers(1, ell)) | st.builds(
+            lambda i, j, sign: ("pair", i, j, sign),
+            st.integers(1, ell),
+            st.integers(1, ell),
+            st.sampled_from((1, -1)),
+        )
+        y = st.integers(0, 3) | st.fractions(-1, 3, max_denominator=30)
+        multipliers = draw(st.lists(st.tuples(rows, y), max_size=3 * ell))
+    value = sum((y for key, y in multipliers if key[0] == "pair"), Fraction(0))
+    value += draw(st.sampled_from((0, 0, Fraction(1, 7), Fraction(-1, 1000))))
+    return ell, LpDualWitness(ell=ell, multipliers=tuple(multipliers), value=value)
+
+
+@given(dual_witnesses())
+@settings(max_examples=400, deadline=None)
+def test_check_dual_matches_fraction_reference(case):
+    ell, witness = case
+    assert check_dual(ell, witness) == fraction_check_dual(ell, witness)
+
+
+def _upper_violation(ell, i0, j0):
+    """sigma_i = tau_i = i except tau_j0 = j0 + delta, so i tau_j - j sigma_i
+    is 0 off column j0 and i * delta on it; i0 * delta > 1 >= (i0 - 1) * delta
+    makes the upper row (i0, j0) the first violated row in scan order."""
+    delta = Fraction(2 * i0 + 1, 2 * i0 * i0)
+    sigma = [Fraction(i) for i in range(1, ell + 1)]
+    tau = list(sigma)
+    tau[j0 - 1] += delta
+    return sigma, tau, (i0, j0, i0 * delta)
+
+
+def _lower_violation(ell, j0):
+    """sigma_i = tau_i = e, so i tau_j - j sigma_i = e (i - j); with
+    e (j0 - 1) > 1 >= e (j0 - 2) the lower row (1, j0) is the first violated
+    row in scan order."""
+    e = Fraction(2, 2 * j0 - 3)
+    return [e] * ell, [e] * ell, (1, j0, e * (1 - j0))
+
+
+@pytest.mark.parametrize("ell", [3, 5, 9])
+def test_exact_check_covers_rows_outside_the_band(ell):
+    """HiGHS sees only the links and the upper rows with i + j >= ell + 1.
+    These points break first a row it never sees: an upper row with
+    i + j <= ell or a lower row.  The band rows implied by it
+    (test_band_rows_imply_every_row) break too, later in the scan, so a
+    check over the band alone would name another row or none."""
+    cases = [_upper_violation(ell, i, j) for i in range(1, ell) for j in range(1, ell + 1 - i)]
+    cases += [_lower_violation(ell, j) for j in range(2, ell + 1)]
+    dual = gamma(ell).witness_dual
+    for sigma, tau, (i, j, v) in cases:
+        want = f"|{i} tau_{j} - {j} sigma_{i}| = |{v}| > 1"
+        assert check_primal(ell, sigma, tau) == want
+        forged = GammaValue(
+            ell=ell,
+            gamma=primal_objective(ell, sigma, tau),
+            witness_primal=(tuple(sigma), tuple(tau)),
+            witness_dual=dual,
+            method="guided",
+        )
+        with pytest.raises(VerificationError, match=re.escape(want)):
+            verify_gamma(forged)
+
+
+def test_band_rows_imply_every_row():
+    """The exact simplex maximises each pair row of LP(ell) over the links
+    and the band rows alone and never gets past 1: the band relaxation that
+    _solve_guided hands HiGHS has the same feasible set as LP(ell)."""
+    for ell in range(1, 7):
+        n = 2 * ell
+        band = [lp._band_key(ell, r) for r in range(ell + ell * (ell + 1) // 2)]
+        assert sorted(band[ell:]) == [
+            ("pair", i, j, 1) for i in range(1, ell + 1) for j in range(1, ell + 1)
+            if i + j >= ell + 1
+        ]
+        rows = [lp._row_entries(ell, key) for key in band]
+        dense = [[entries.get(idx, 0) for idx in range(n)] for entries, _ in rows]
+        for i in range(1, ell + 1):
+            for j in range(1, ell + 1):
+                for sign in (1, -1):
+                    entries, _ = lp._row_entries(ell, ("pair", i, j, sign))
+                    c = [entries.get(idx, 0) for idx in range(n)]
+                    best = solve_max(c, dense, [b for _, b in rows]).objective
+                    assert best <= 1, (ell, i, j, sign)
+
+
 def test_every_gamma_value_self_verifies():
     for ell in range(1, 13):
         verify_gamma(gamma(ell))
@@ -219,6 +370,17 @@ def test_guided_never_falls_back(monkeypatch):
     monkeypatch.setattr(lp, "_gamma_memo", {})  # earlier simplex requests fill it
     for ell in range(1, 61):
         assert gamma(ell).method == "guided", ell
+
+
+@pytest.mark.slow
+def test_guided_never_falls_back_over_the_budget(monkeypatch):
+    # opt-in (pytest -m slow): a few minutes on a 2-core host
+    monkeypatch.setattr(lp, "_gamma_memo", {})
+    for ell in range(1, LP_SIZE_BUDGET + 1):
+        gv = gamma(ell)
+        assert gv.method == "guided", ell
+        verify_gamma(gv)
+        assert gv.gamma <= gamma_upper_bound(ell), ell
 
 
 def test_simplex_request_keeps_guided_memo(monkeypatch):
@@ -381,6 +543,16 @@ def test_certificate_rejects_column_sum_below_phi(ell):
             rows[i][j - 1] = 0
 
         assert _rejection(ell, edit) == f"column {j} sum below phi({j})", j
+
+
+def test_certified_dual_returns_the_checked_value():
+    for ell in (1, 4, 7, 40):
+        cert, value = lp._certified_dual(ell, perturbed=False)
+        assert cert == dual_matrix(ell) and value == cert.value == 1
+        if ell >= 4:
+            cert, value = lp._certified_dual(ell, perturbed=True)
+            assert cert == perturbed_dual_matrix(ell)
+            assert value == cert.value == gamma_upper_bound(ell)
 
 
 def test_perturbed_needs_four():
