@@ -26,7 +26,6 @@ from .oracle import brute_force_max
 from .search import max_size
 
 _GAMMA_CACHE = "gamma.txt"
-_GAMMA_COMMANDS = ("lp-gamma", "bounds")  # the commands that load and save it
 CERTIFY_BUDGET = 2000  # largest certify-dual --l without --long
 
 
@@ -48,23 +47,28 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    # the shared flags go on each subcommand only, so a flag given before the
-    # subcommand name is a usage error rather than silently overwritten
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache-dir", default=None,
-                        help="cache directory (env TORUSK_CACHE_DIR as fallback)")
-    common.add_argument("--threads", type=positive_int, default=1)
-    common.add_argument("--long", action="store_true", dest="long_mode",
-                        help="allow full-scale sweeps (hours)")
-    common.add_argument("--out", default=None, help="write output here instead of stdout")
+# flags that more than one subcommand reads; each goes only on the
+# subcommands that read it, and only after the subcommand name, so a flag
+# given before the name is a usage error rather than silently overwritten
+_SHARED_FLAGS = {
+    "--cache-dir": dict(default=None,
+                        help="cache directory (env TORUSK_CACHE_DIR as fallback)"),
+    "--threads": dict(type=positive_int, default=1),
+    "--long": dict(action="store_true", dest="long_mode",
+                   help="allow full-scale sweeps (hours)"),
+}
 
+
+def _build_parser() -> _Parser:
     parser = _Parser(prog="torusk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, handler, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name: str, handler, flags: tuple[str, ...] = (), **kwargs):
+        p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
+        p.add_argument("--out", default=None, help="write output here instead of stdout")
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
     p = add_parser("compute", _run_compute,
@@ -80,34 +84,36 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = add_parser("table", _run_table, help="k range sweep, closed form vs search")
+    p = add_parser("table", _run_table, ("--threads", "--long"),
+                   help="k range sweep, closed form vs search")
     p.add_argument("--from", dest="k_from", type=int, required=True)
     p.add_argument("--to", dest="k_to", type=int, required=True)
-    p.add_argument("--csv", action="store_true")
     p.add_argument("--no-check", action="store_true",
                    help="emit closed-form values only, skip the search cross-check")
 
-    p = add_parser("lp-gamma", _run_lp_gamma, help="exact LP optimum gamma_ell")
+    p = add_parser("lp-gamma", _run_lp_gamma, ("--cache-dir",),
+                   help="exact LP optimum gamma_ell")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--l", dest="ell", type=int, default=None)
     which.add_argument("--lmax", dest="ell_max", type=positive_int, default=None,
                        help="emit a csv table for ell = 1..lmax")
     p.add_argument("--method", choices=lp.METHODS, default="guided")
-    p.add_argument("--csv", action="store_true")
 
-    p = add_parser("certify-dual", _run_certify_dual,
+    p = add_parser("certify-dual", _run_certify_dual, ("--long",),
                    help="emit and verify a dual certificate matrix")
     p.add_argument("--l", dest="ell", type=int, required=True)
     p.add_argument("--perturbed", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = add_parser("verify-height", _run_verify_height, help="height reduction verdicts")
+    p = add_parser("verify-height", _run_verify_height, ("--threads", "--long"),
+                   help="height reduction verdicts")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--from", dest="k_from", type=int, default=None)
     p.add_argument("--to", dest="k_to", type=int, default=None)
 
-    p = add_parser("bounds", _run_bounds, help="inequality suite reports")
+    p = add_parser("bounds", _run_bounds, ("--cache-dir",),
+                   help="inequality suite reports")
     p.add_argument("--suite", choices=("sum210", "threshold-3225", "threshold-1892", "size-bound",
                                        "density-threshold", "all"), default="all")
     p.add_argument("--json", action="store_true")
@@ -152,16 +158,14 @@ def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
         return json.dumps(out, sort_keys=True) + "\n", 0
     if k < 3:
         # too small for the pipeline; closed form answers directly
-        pv = pattern_or_table(k)
-        out = {"k": k, "max_size": pv.value, "per_height": []}
-        return json.dumps(out, sort_keys=True) + "\n", 0
-    outcome = max_size(k)
-    payload = outcome.to_json_dict()
-    if not args.witness:
-        payload.pop("witness", None)
+        payload = {"k": k, "max_size": pattern_or_table(k).value, "per_height": []}
+    else:
+        payload = max_size(k).to_json_dict()
+        if not args.witness:
+            payload.pop("witness", None)
     if args.json:
         return json.dumps(payload, sort_keys=True) + "\n", 0
-    return f"N({k}) = {outcome.max_size}\n", 0
+    return f"N({k}) = {payload['max_size']}\n", 0
 
 
 def _run_oracle(args: argparse.Namespace) -> tuple[str, int]:
@@ -296,9 +300,11 @@ def _run_bounds(args: argparse.Namespace) -> tuple[str, int]:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cache_dir = args.cache_dir or os.environ.get("TORUSK_CACHE_DIR")
-        use_cache = cache_dir is not None and args.command in _GAMMA_COMMANDS
-        if use_cache:
+        # only the subcommands that compute gamma take --cache-dir
+        cache_dir = None
+        if hasattr(args, "cache_dir"):
+            cache_dir = args.cache_dir or os.environ.get("TORUSK_CACHE_DIR")
+        if cache_dir is not None:
             _load_gamma_cache(cache_dir)
         text, code = args.handler(args)
     except _UsageError as exc:
@@ -314,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text)
-    if use_cache:
+    if cache_dir is not None:
         _save_gamma_cache(cache_dir)
     return code
 

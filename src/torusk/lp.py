@@ -12,7 +12,7 @@ gamma_h * k + beta_h bounds the size of any k-nice set of height h; the
 strict inequalities behind the closed form for N(k) all reduce to exact
 statements about gamma.
 
-Two solution paths, both ending in exact rational certificates:
+Two independent solution paths, both ending in exact rational certificates:
 
 * the default for every ell: a floating-point solve (HiGHS) of the band
   relaxation, the link rows plus the rows i * tau_j - j * sigma_i <= 1 with
@@ -20,11 +20,10 @@ Two solution paths, both ending in exact rational certificates:
   the vertex and multipliers are reconstructed by sparse exact elimination
   (every row has two nonzeros), and the pair is accepted only if primal
   feasibility over every row of LP(ell), dual feasibility and equality of
-  objectives all verify exactly; any failure falls back to the simplex
-  path;
+  objectives all verify exactly; any failure raises VerificationError;
 * exact simplex with constraint generation over the O(ell^2) pair
-  constraints: the fallback, method="simplex", and the independent oracle
-  the tests compare the default path against.
+  constraints: method="simplex", the independent oracle the tests compare
+  the default path against.
 
 A separate, solver-independent upper bound comes from explicit matrices
 feasible for the dual of the relaxed program: dual_matrix(ell) has value
@@ -46,7 +45,7 @@ from pathlib import Path
 
 from torusk import numtheory
 from torusk.errors import BudgetError, CacheError, VerificationError
-from torusk.simplex import LpSolution, solve_max, solve_rational_system
+from torusk.simplex import solve_max, solve_rational_system
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -239,24 +238,18 @@ def _solve_by_generation(ell: int) -> GammaValue:
                     violated.append((-v - 1, ("pair", i, j, -1)))
         violated = [(excess, key) for excess, key in violated if key not in known]
         if not violated:
-            return _package(ell, sol, work, "simplex")
+            break
         violated.sort(key=lambda t: (-t[0], t[1]))
         for _, key in violated[: _GEN_BATCH * ell]:
             work.append(key)
             known.add(key)
-
-
-def _package(ell: int, sol: LpSolution, work: list[RowKey], method: str) -> GammaValue:
-    multipliers = tuple(
-        (key, y) for key, y in zip(work, sol.duals) if y != 0
-    )
-    witness = LpDualWitness(ell=ell, multipliers=multipliers, value=sol.objective)
+    multipliers = tuple((key, y) for key, y in zip(work, sol.duals) if y != 0)
     gv = GammaValue(
         ell=ell,
         gamma=sol.objective,
-        witness_primal=(tuple(sol.x[:ell]), tuple(sol.x[ell:])),
-        witness_dual=witness,
-        method=method,
+        witness_primal=(tuple(sigma), tuple(tau)),
+        witness_dual=LpDualWitness(ell=ell, multipliers=multipliers, value=sol.objective),
+        method="simplex",
     )
     verify_gamma(gv)
     return gv
@@ -276,10 +269,11 @@ def _band_key(ell: int, r: int) -> RowKey:
     return ("pair", i, ell + 1 - i + p - i * (i - 1) // 2, 1)
 
 
-def _solve_guided(ell: int) -> GammaValue | None:
+def _solve_guided(ell: int) -> GammaValue:
     """Propose an optimal active set with HiGHS, then rebuild and verify the
-    vertex and multipliers exactly.  Returns None when anything fails to
-    check out; the caller falls back to the exact simplex.
+    vertex and multipliers exactly.  Raises VerificationError naming the
+    step that failed (HiGHS, the support, either exact system, or
+    verify_gamma's own check); there is no second path to fall back on.
 
     HiGHS sees only the band relaxation (the link rows and the upper pair
     rows with i + j >= ell + 1, where dual_matrix lives): ell + ell(ell+1)/2
@@ -288,7 +282,7 @@ def _solve_guided(ell: int) -> GammaValue | None:
     covers the upper rows with i + j <= ell, and the links bound each lower
     row j sigma_i - i tau_j by the upper row j tau_i - i sigma_j.  The
     rebuilt vertex is checked against every row of LP(ell) by verify_gamma
-    all the same, so a float slip still falls back instead of passing."""
+    all the same, so a float slip raises instead of passing."""
     import numpy as np
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
@@ -311,13 +305,13 @@ def _solve_guided(ell: int) -> GammaValue | None:
     c_f = np.array([-float(v) for v in cvec])  # linprog minimizes
     res = linprog(c_f, A_ub=a_ub, b_ub=rhs_f, bounds=(0, None), method="highs")
     if not res.success:
-        return None
+        raise VerificationError(f"gamma({ell}): HiGHS did not solve: {res.message}")
 
     support = np.flatnonzero(np.abs(res.ineqlin.marginals) > 1e-9).tolist()
     tight = np.flatnonzero(np.abs(res.slack) < 1e-7).tolist()
     pos = set(np.flatnonzero(res.x > 1e-9).tolist())
     if not support or not pos:
-        return None
+        raise VerificationError(f"gamma({ell}): HiGHS gave an empty support")
     rows = {r: _row_entries(ell, _band_key(ell, r)) for r in {*support, *tight}}
 
     # Exact vertex: active rows restricted to the positive coordinates; the
@@ -328,7 +322,7 @@ def _solve_guided(ell: int) -> GammaValue | None:
         n,
     )
     if x is None:
-        return None
+        raise VerificationError(f"gamma({ell}): inconsistent vertex system")
     sigma, tau = x[:ell], x[ell:]
 
     # Exact multipliers on the guessed support: y^T A = c on the coordinates
@@ -340,7 +334,7 @@ def _solve_guided(ell: int) -> GammaValue | None:
                 eqs[idx][t] = a
     ysol = solve_rational_system(list(eqs.values()), [cvec[idx] for idx in eqs], len(support))
     if ysol is None:
-        return None
+        raise VerificationError(f"gamma({ell}): inconsistent multiplier system")
     multipliers = tuple(
         (_band_key(ell, r), y) for r, y in zip(support, ysol) if y != 0
     )
@@ -352,10 +346,7 @@ def _solve_guided(ell: int) -> GammaValue | None:
         witness_dual=LpDualWitness(ell=ell, multipliers=multipliers, value=value),
         method="guided",
     )
-    try:
-        verify_gamma(gv)
-    except VerificationError:
-        return None
+    verify_gamma(gv)
     return gv
 
 
@@ -369,10 +360,9 @@ def gamma(ell: int, method: str = "guided") -> GammaValue:
     """Exact optimum of LP(ell) with verified primal and dual witnesses.
 
     method: "guided" (default), the HiGHS-guided exact reconstruction,
-    which falls back to the simplex if anything fails to verify; or
-    "simplex", exact generation only.  A "simplex" request never
-    returns or replaces a memo entry made by the guided path, so it stays an
-    independent oracle.
+    memoized, which raises VerificationError if anything fails to verify;
+    or "simplex", exact generation, solved afresh on every call and never
+    read from or written to the memo, so it stays an independent oracle.
     """
     if ell < 1:
         raise ValueError(f"gamma needs ell >= 1, got {ell}")
@@ -382,17 +372,15 @@ def gamma(ell: int, method: str = "guided") -> GammaValue:
         )
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if method == "simplex":
+        return _solve_by_generation(ell)
     with _gamma_lock:
         hit = _gamma_memo.get(ell)
-    if hit is not None and (method != "simplex" or hit.method == "simplex"):
+    if hit is not None:
         return hit
-    if method == "simplex":
-        gv = _solve_by_generation(ell)
-    else:
-        gv = _solve_guided(ell) or _solve_by_generation(ell)
+    gv = _solve_guided(ell)
     with _gamma_lock:
-        _gamma_memo.setdefault(ell, gv)
-    return gv
+        return _gamma_memo.setdefault(ell, gv)
 
 
 def primal_witness_small(ell: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

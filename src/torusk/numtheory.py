@@ -18,8 +18,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 gcd = math.gcd  # non-negative, gcd(0, 0) == 0
 
 

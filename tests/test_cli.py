@@ -40,9 +40,10 @@ def test_compute_text(capsys):
 
 
 def test_compute_tiny_k(capsys):
-    code, out, _ = run_cli(capsys, "compute", "--k", "1")
+    code, out, _ = run_cli(capsys, "compute", "--k", "1", "--json")
     assert code == 0
     assert json.loads(out)["max_size"] == 3
+    assert run_cli(capsys, "compute", "--k", "1") == (0, "N(1) = 3\n", "")
 
 
 def test_compute_json_witness(capsys):
@@ -110,7 +111,7 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
 
 
 def test_threads_below_one_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "compute", "--k", "5", "--threads", "0")
+    code, out, err = run_cli(capsys, "table", "--from", "3", "--to", "4", "--threads", "0")
     assert code == 1
     assert out == ""
     assert "usage error" in err
@@ -121,8 +122,8 @@ def test_threads_below_one_is_usage_error(capsys):
     [
         ("--out", "OUT/result.txt", "compute", "--k", "5"),
         ("--cache-dir", "OUT/cache", "lp-gamma", "--l", "4"),
-        ("--threads", "0", "compute", "--k", "5"),
-        ("--long", "compute", "--k", "5"),
+        ("--threads", "2", "table", "--from", "3", "--to", "4"),
+        ("--long", "certify-dual", "--l", "5"),
     ],
 )
 def test_shared_flag_before_subcommand_is_usage_error(tmp_path, capsys, argv):
@@ -167,7 +168,7 @@ def test_oracle_budget_exit(capsys):
 
 
 def test_table_csv(capsys):
-    code, out, _ = run_cli(capsys, "table", "--from", "3", "--to", "12", "--csv")
+    code, out, _ = run_cli(capsys, "table", "--from", "3", "--to", "12")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "k,N,source"
@@ -180,7 +181,7 @@ def test_table_csv(capsys):
 
 
 def test_table_includes_tiny(capsys):
-    code, out, _ = run_cli(capsys, "table", "--from", "1", "--to", "4", "--csv")
+    code, out, _ = run_cli(capsys, "table", "--from", "1", "--to", "4")
     assert code == 0
     assert "1,3,tiny" in out
     assert "2,4,tiny" in out
@@ -199,7 +200,7 @@ def test_lp_gamma_single(capsys):
 
 
 def test_lp_gamma_table(capsys):
-    code, out, _ = run_cli(capsys, "lp-gamma", "--lmax", "6", "--csv")
+    code, out, _ = run_cli(capsys, "lp-gamma", "--lmax", "6")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "ell,rho,alpha,gamma,beta"
@@ -368,16 +369,59 @@ def test_bad_cache_is_rebuilt(tmp_path, capsys, fresh_memo, spoil):
     assert (code, out, err) == (0, "35/36 (0.9722)\n", "")
 
 
-def test_non_gamma_commands_leave_cache_alone(tmp_path, capsys):
+def test_non_gamma_commands_leave_cache_alone(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "gamma.txt").write_text("not a cache\n")
     code, out, err = run_cli(capsys, "compute", "--k", "5", "--cache-dir", str(cache))
-    assert (code, out, err) == (0, "N(5) = 8\n", "")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+    monkeypatch.setenv("TORUSK_CACHE_DIR", str(cache))
+    assert run_cli(capsys, "compute", "--k", "5") == (0, "N(5) = 8\n", "")
+    assert [p.name for p in cache.iterdir()] == ["gamma.txt"]
     assert (cache / "gamma.txt").read_text() == "not a cache\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--k", "5", "--threads", "2"),
+        ("compute", "--k", "5", "--long"),
+        ("oracle", "--k", "3", "--cache-dir", "OUT"),
+        ("certify-dual", "--l", "3", "--threads", "3"),
+        ("table", "--from", "3", "--to", "4", "--csv"),
+        ("lp-gamma", "--l", "4", "--csv"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, argv):
+    argv = [a.replace("OUT", str(tmp_path / "cache")) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: unrecognized arguments:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_guided_failure_exits_two_and_simplex_still_answers(capsys, fresh_memo, monkeypatch):
+    # the doubled-multiplier patch of test_lp: the guided candidate for
+    # gamma(4) fails verify_gamma, and there is no fallback to hide it
+    real = lp.solve_rational_system
+    calls = []
+
+    def doubled_multipliers(rows, rhs, n):
+        calls.append(n)
+        x = real(rows, rhs, n)
+        return x if len(calls) == 1 or x is None else [2 * y for y in x]
+
+    monkeypatch.setattr(lp, "solve_rational_system", doubled_multipliers)
+    code, out, err = run_cli(capsys, "lp-gamma", "--l", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("verification failed: gamma(4)")
+    assert lp._gamma_memo == {}
+    code, out, err = run_cli(capsys, "lp-gamma", "--l", "4", "--method", "simplex")
+    assert (code, out, err) == (0, "35/36 (0.9722)\n", "")
+
+
 def test_table_byte_determinism(capsys):
-    _, first, _ = run_cli(capsys, "table", "--from", "3", "--to", "10", "--csv")
-    _, second, _ = run_cli(capsys, "table", "--from", "3", "--to", "10", "--csv")
+    _, first, _ = run_cli(capsys, "table", "--from", "3", "--to", "10")
+    _, second, _ = run_cli(capsys, "table", "--from", "3", "--to", "10")
     assert first == second

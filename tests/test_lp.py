@@ -56,8 +56,9 @@ def test_gamma_4_exact():
 
 
 def test_gamma_rounded_small():
+    # the default path; test_01 checks the simplex rounding for ell = 1..20
     for ell, want in ROUNDED.items():
-        assert format_round4(gamma(ell, method="simplex").gamma) == want
+        assert format_round4(gamma(ell).gamma) == want
 
 
 def test_gamma_is_one_up_to_three():
@@ -360,14 +361,13 @@ def test_guided_matches_simplex():
     for ell in (*range(1, 13), 26):
         a = _solve_by_generation(ell)
         b = _solve_guided(ell)
-        assert b is not None, ell
         assert a.gamma == b.gamma, ell
         verify_gamma(a)
         verify_gamma(b)
 
 
 def test_guided_never_falls_back(monkeypatch):
-    monkeypatch.setattr(lp, "_gamma_memo", {})  # earlier simplex requests fill it
+    monkeypatch.setattr(lp, "_gamma_memo", {})  # a warm memo would skip the solves
     for ell in range(1, 61):
         assert gamma(ell).method == "guided", ell
 
@@ -385,6 +385,8 @@ def test_guided_never_falls_back_over_the_budget(monkeypatch):
 
 def test_simplex_request_keeps_guided_memo(monkeypatch):
     monkeypatch.setattr(lp, "_gamma_memo", {})
+    assert gamma(7, method="simplex").method == "simplex"
+    assert lp._gamma_memo == {}
     guided = gamma(7)
     assert guided.method == "guided"
     oracle = gamma(7, method="simplex")
@@ -395,9 +397,10 @@ def test_simplex_request_keeps_guided_memo(monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [4, 9])
-def test_unverified_guided_candidate_falls_back(monkeypatch, ell):
-    # _solve_guided solves for the vertex, then for the multipliers; doubling
-    # the multipliers leaves them dual feasible but opens a duality gap
+def test_unverified_guided_candidate_raises(monkeypatch, ell):
+    # _solve_guided solves for the vertex, then for the multipliers; doubled
+    # multipliers overshoot the sigma_1 column, and verify_gamma's message
+    # reaches the caller unchanged
     real = lp.solve_rational_system
     calls = []
 
@@ -408,15 +411,56 @@ def test_unverified_guided_candidate_falls_back(monkeypatch, ell):
 
     monkeypatch.setattr(lp, "solve_rational_system", doubled_multipliers)
     monkeypatch.setattr(lp, "_gamma_memo", {})
-    assert _solve_guided(ell) is None
+    problem = "dual witness rejected: dual infeasible at column 0"
+    message = f"^{re.escape(f'gamma({ell}): {problem}')}$"
+    with pytest.raises(VerificationError, match=message):
+        _solve_guided(ell)
     calls.clear()
-    gv = gamma(ell)
+    with pytest.raises(VerificationError, match=message):
+        gamma(ell)
     assert len(calls) == 2
-    assert gv.method == "simplex"
-    assert format_round4(gv.gamma) == ROUNDED[ell]
-    verify_gamma(gv)
-    if ell == 4:
-        assert gv.gamma == Fraction(35, 36)
+    assert ell not in lp._gamma_memo
+
+
+def test_guided_duality_gap_reaches_caller(monkeypatch):
+    # a primal value off by 1/100 passes every check but the last
+    real = lp.primal_objective
+    monkeypatch.setattr(lp, "primal_objective", lambda *args: real(*args) + Fraction(1, 100))
+    monkeypatch.setattr(lp, "_gamma_memo", {})
+    with pytest.raises(VerificationError, match=r"^gamma\(4\): duality gap$"):
+        gamma(4)
+    assert lp._gamma_memo == {}
+
+
+@pytest.mark.parametrize(
+    "failing_call, step",
+    [(1, "inconsistent vertex system"), (2, "inconsistent multiplier system")],
+)
+def test_guided_names_the_failed_exact_system(monkeypatch, failing_call, step):
+    real = lp.solve_rational_system
+    calls = []
+
+    def fails_once(rows, rhs, n):
+        calls.append(n)
+        return None if len(calls) == failing_call else real(rows, rhs, n)
+
+    monkeypatch.setattr(lp, "solve_rational_system", fails_once)
+    with pytest.raises(VerificationError, match=re.escape(f"gamma(5): {step}")):
+        _solve_guided(5)
+
+
+def test_guided_reports_a_failed_highs_solve(monkeypatch):
+    import scipy.optimize
+
+    class Failed:
+        success = False
+        message = "iteration limit reached"
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: Failed())
+    monkeypatch.setattr(lp, "_gamma_memo", {})
+    with pytest.raises(VerificationError, match=r"gamma\(5\): HiGHS did not solve"):
+        gamma(5)
+    assert lp._gamma_memo == {}
 
 
 def test_dual_matrix_row_and_column_sums():
