@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     t0 = time.time()
-    density = density_table_csv(args.lmax, method="simplex")
+    density = density_table_csv(args.lmax)
     print(f"density.csv: ell = 1..{args.lmax} ({time.time() - t0:.1f}s)")
 
     t0 = time.time()

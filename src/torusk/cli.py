@@ -227,8 +227,9 @@ def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
     # memory grows with ell^2: about 80 MB (110 MB with --json) at the budget
     if ell > CERTIFY_BUDGET and not args.long_mode:
         raise BudgetError(f"certify-dual --l {ell} exceeds {CERTIFY_BUDGET}; pass --long")
-    # the constructor verifies the matrix and returns the exact value it checked
-    cert, value = lp._certified_dual(ell, args.perturbed)
+    # the constructor verifies the matrix and checks its value, which is kept
+    cert = lp._certified_dual(ell, args.perturbed)
+    value = cert.value
     if args.json:
         payload = {
             "ell": ell,
@@ -239,7 +240,7 @@ def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
             "feasible": True,
         }
         return json.dumps(payload, sort_keys=True) + "\n", 0
-    lines = [" ".join(str(v) for v in row) for row in cert.matrix]
+    lines = [" ".join(map(str, row)) for row in cert.matrix]
     lines.append(f"feasible, value = {value.numerator}/{value.denominator}"
                  f" ({lp.format_round4(value)})")
     return "\n".join(lines) + "\n", 0

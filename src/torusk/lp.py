@@ -37,8 +37,9 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import isqrt, lcm
 from operator import mul
 from pathlib import Path
@@ -51,6 +52,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 LP_SIZE_BUDGET = 256  # largest ell the solver will accept
+# largest ell for method="simplex": 24 s at ell = 32 and 47 s at ell = 40 on a
+# 2-core host, and the cost grows faster than ell^4
+SIMPLEX_BUDGET = 32
 _GEN_BATCH = 2  # violated rows added per round, as a multiple of ell
 
 METHODS = ("guided", "simplex")
@@ -352,6 +356,15 @@ def _solve_guided(ell: int) -> GammaValue:
 
 # --- public entry -----------------------------------------------------------
 
+def _check_budget(ell: int, method: str) -> None:
+    """BudgetError if ell is past LP_SIZE_BUDGET, or past SIMPLEX_BUDGET for
+    the exact simplex; callers check before solving anything."""
+    if ell > LP_SIZE_BUDGET:
+        raise BudgetError(f"ell = {ell} exceeds the LP size budget {LP_SIZE_BUDGET}")
+    if method == "simplex" and ell > SIMPLEX_BUDGET:
+        raise BudgetError(f"ell = {ell} exceeds the simplex budget {SIMPLEX_BUDGET}")
+
+
 _gamma_lock = threading.Lock()
 _gamma_memo: dict[int, GammaValue] = {}
 
@@ -363,13 +376,11 @@ def gamma(ell: int, method: str = "guided") -> GammaValue:
     memoized, which raises VerificationError if anything fails to verify;
     or "simplex", exact generation, solved afresh on every call and never
     read from or written to the memo, so it stays an independent oracle.
+    BudgetError above LP_SIZE_BUDGET, or above SIMPLEX_BUDGET for "simplex".
     """
     if ell < 1:
         raise ValueError(f"gamma needs ell >= 1, got {ell}")
-    if ell > LP_SIZE_BUDGET:
-        raise BudgetError(
-            f"ell = {ell} exceeds the LP size budget {LP_SIZE_BUDGET}"
-        )
+    _check_budget(ell, method)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "simplex":
@@ -414,22 +425,32 @@ def primal_witness_small(ell: int) -> tuple[tuple[Fraction, ...], tuple[Fraction
 class DualCertificate:
     """A non-negative integer matrix feasible for the transposed program:
     row i sums to at most phi(i), column j collects at least phi(j).  Its
-    value sum_{i,j} a[i][j] / (i * j) is an upper bound for gamma(ell)."""
+    value sum_{i,j} a[i][j] / (i * j) is an upper bound for gamma(ell).
+    The value is computed on its first read and kept, outside ==, hash and
+    repr; verify() checks the matrix afresh on every call."""
 
     ell: int
     matrix: tuple[tuple[int, ...], ...]
+    _value: Fraction | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def value(self) -> Fraction:
         # With L = lcm(1..n), a / (i * j) = a * (L / i) * (L / j) / L^2, so the
-        # sum is one integer dot product per row over a single denominator.
-        n = max([len(self.matrix), *map(len, self.matrix)])
-        big = lcm(*range(1, n + 1))
-        scale = [big // j for j in range(1, n + 1)]
-        total = sum(
-            s * sum(map(mul, row, scale)) for s, row in zip(scale, self.matrix)
-        )
-        return Fraction(total, big * big)
+        # sum is one integer per row over a single denominator.  A row of 0s
+        # and 1s (every row of dual_matrix) adds the scales L / j of its
+        # nonzero columns; any other row takes the dot product.
+        if self._value is None:
+            n = max([len(self.matrix), *map(len, self.matrix)])
+            big = lcm(*range(1, n + 1))
+            scale = [big // j for j in range(1, n + 1)]
+            total = 0
+            for s, row in zip(scale, self.matrix):
+                if row.count(0) + row.count(1) == len(row):
+                    total += s * sum(compress(scale, row))
+                else:
+                    total += s * sum(map(mul, row, scale))
+            object.__setattr__(self, "_value", Fraction(total, big * big))
+        return self._value
 
     def verify(self) -> None:
         ell = self.ell
@@ -461,10 +482,10 @@ def _dual_rows(ell: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _certified_dual(ell: int, perturbed: bool) -> tuple[DualCertificate, Fraction]:
-    """dual_matrix(ell) or perturbed_dual_matrix(ell), verified, with the
-    exact value that was checked (computed once, so a caller that prints it
-    does not compute it again)."""
+def _certified_dual(ell: int, perturbed: bool) -> DualCertificate:
+    """dual_matrix(ell) or perturbed_dual_matrix(ell), verified and with its
+    exact value checked (and kept, so a caller that reads it again does not
+    compute it again)."""
     if perturbed and ell < 4:
         raise ValueError(f"perturbed_dual_matrix needs ell >= 4, got {ell}")
     if ell < 1:
@@ -493,7 +514,7 @@ def _certified_dual(ell: int, perturbed: bool) -> tuple[DualCertificate, Fractio
             raise VerificationError(f"perturbed_dual_matrix({ell}) value {value} != {expected}")
     elif value != 1:
         raise VerificationError(f"dual_matrix({ell}) value is {value}, not 1")
-    return cert, value
+    return cert
 
 
 def dual_matrix(ell: int) -> DualCertificate:
@@ -501,7 +522,7 @@ def dual_matrix(ell: int) -> DualCertificate:
     Each row i then covers a window of i consecutive j's, so row and column
     sums are exactly phi, and the value is exactly 1.  The rows come from
     _dual_rows; the certificate is verified and its value checked here."""
-    return _certified_dual(ell, perturbed=False)[0]
+    return _certified_dual(ell, perturbed=False)
 
 
 def perturbed_dual_matrix(ell: int) -> DualCertificate:
@@ -517,7 +538,7 @@ def perturbed_dual_matrix(ell: int) -> DualCertificate:
     certificate is built and verified; only its last three rows are copied
     and bumped.
     """
-    return _certified_dual(ell, perturbed=True)[0]
+    return _certified_dual(ell, perturbed=True)
 
 
 def gamma_upper_bound(ell: int) -> Fraction:
@@ -550,10 +571,7 @@ def format_round4(x: Fraction) -> str:
 
 def density_table_csv(ell_max: int, method: str = "guided") -> str:
     """CSV of rho, alpha, gamma, beta rounded to 4 decimals, ell = 1..ell_max."""
-    if ell_max > LP_SIZE_BUDGET:
-        raise BudgetError(
-            f"ell = {ell_max} exceeds the LP size budget {LP_SIZE_BUDGET}"
-        )
+    _check_budget(ell_max, method)
     lines = ["ell,rho,alpha,gamma,beta"]
     for ell in range(1, ell_max + 1):
         t = numtheory.triples(ell)

@@ -155,6 +155,19 @@ def test_lp_gamma_lmax_bounds_checked_before_solving(monkeypatch, capsys, argv, 
     assert err.startswith("budget exceeded:" if want == 3 else "usage error:")
 
 
+@pytest.mark.parametrize("flag", ["--l", "--lmax"])
+def test_lp_gamma_simplex_budget_checked_before_solving(monkeypatch, capsys, flag):
+    def no_solve(ell):
+        raise AssertionError(f"simplex solved ell = {ell} before the budget check")
+
+    monkeypatch.setattr(lp, "_solve_by_generation", no_solve)
+    over = str(lp.SIMPLEX_BUDGET + 1)
+    code, out, err = run_cli(capsys, "lp-gamma", flag, over, "--method", "simplex")
+    assert (code, out) == (3, "")
+    assert err == (f"budget exceeded: ell = {over} exceeds the simplex budget"
+                   f" {lp.SIMPLEX_BUDGET}\n")
+
+
 def test_oracle_text(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--k", "5")
     assert code == 0

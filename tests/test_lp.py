@@ -3,7 +3,7 @@
 import json
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +16,13 @@ from torusk.lp import (
     GammaValue,
     LP_SIZE_BUDGET,
     LpDualWitness,
+    SIMPLEX_BUDGET,
     _dual_rows,
     _solve_by_generation,
     _solve_guided,
     check_dual,
     check_primal,
+    density_table_csv,
     dual_matrix,
     format_round4,
     gamma,
@@ -347,9 +349,17 @@ def test_check_dual_rejects_malformed_keys(key):
     assert "not a row" in check_dual(4, witness)
 
 
-def test_gamma_budget():
+def test_gamma_budget(monkeypatch):
+    def no_solve(ell):
+        raise AssertionError(f"simplex solved ell = {ell} past its budget")
+
+    monkeypatch.setattr(lp, "_solve_by_generation", no_solve)
     with pytest.raises(BudgetError):
         gamma(LP_SIZE_BUDGET + 1)
+    with pytest.raises(BudgetError, match=f"simplex budget {SIMPLEX_BUDGET}"):
+        gamma(SIMPLEX_BUDGET + 1, method="simplex")
+    with pytest.raises(BudgetError, match=f"simplex budget {SIMPLEX_BUDGET}"):
+        density_table_csv(SIMPLEX_BUDGET + 1, method="simplex")
 
 
 def test_gamma_monotone_nonincreasing_is_false():
@@ -498,11 +508,24 @@ def fraction_value(matrix) -> Fraction:
 
 
 @st.composite
+def almost_01_rows(draw, ell):
+    """A row of 0s and 1s with one entry replaced by -1, 2 or a large value."""
+    row = list(draw(st.tuples(*[st.integers(0, 1)] * ell)))
+    row[draw(st.integers(0, ell - 1))] = draw(st.sampled_from([-1, 2, 1000]))
+    return tuple(row)
+
+
+@st.composite
 def certificate_matrices(draw):
+    # value adds scales on rows of 0s and 1s and multiplies on every other
+    # row, so draw both kinds and rows one entry away from 0/1
     ell = draw(st.integers(1, 12))
     zero_row = st.just((0,) * ell)
     row = st.tuples(*[st.integers(0, 1000)] * ell)
-    return ell, tuple(draw(st.lists(zero_row | row, min_size=ell, max_size=ell)))
+    bits = st.tuples(*[st.integers(0, 1)] * ell)
+    small = st.tuples(*[st.integers(-1, 2)] * ell)
+    rows = zero_row | row | bits | small | almost_01_rows(ell)
+    return ell, tuple(draw(st.lists(rows, min_size=ell, max_size=ell)))
 
 
 @given(certificate_matrices())
@@ -510,6 +533,38 @@ def certificate_matrices(draw):
 def test_certificate_value_matches_fraction_sum(case):
     ell, matrix = case
     assert DualCertificate(ell=ell, matrix=matrix).value == fraction_value(matrix)
+
+
+def test_certificate_value_is_computed_once(monkeypatch):
+    cert = perturbed_dual_matrix(9)
+    calls = []
+
+    def counting_lcm(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(lp, "lcm", counting_lcm)
+    fresh = DualCertificate(ell=9, matrix=cert.matrix)
+    first = fresh.value
+    assert fresh.value is first and fresh.value is fresh.value
+    assert len(calls) == 1
+    assert cert.value == first == gamma_upper_bound(9)  # read in the constructor
+    assert len(calls) == 1
+    # the kept value is outside ==, hash and repr
+    unread = DualCertificate(ell=9, matrix=cert.matrix)
+    assert fresh == unread and hash(fresh) == hash(unread)
+    assert repr(fresh) == repr(unread)
+
+
+def test_verify_rechecks_after_value_is_read():
+    rows = [list(row) for row in dual_matrix(6).matrix]
+    rows[0][0] = -1
+    rows[0][5] += 1
+    cert = DualCertificate(ell=6, matrix=tuple(map(tuple, rows)))
+    assert cert.value == fraction_value(cert.matrix)
+    for _ in range(2):
+        with pytest.raises(VerificationError, match="negative entry in row 1"):
+            cert.verify()
 
 
 def test_certificate_matrix_values_match_fraction_sum():
@@ -591,12 +646,12 @@ def test_certificate_rejects_column_sum_below_phi(ell):
 
 def test_certified_dual_returns_the_checked_value():
     for ell in (1, 4, 7, 40):
-        cert, value = lp._certified_dual(ell, perturbed=False)
-        assert cert == dual_matrix(ell) and value == cert.value == 1
+        cert = lp._certified_dual(ell, perturbed=False)
+        assert cert == dual_matrix(ell) and cert._value == 1  # kept from the check
         if ell >= 4:
-            cert, value = lp._certified_dual(ell, perturbed=True)
+            cert = lp._certified_dual(ell, perturbed=True)
             assert cert == perturbed_dual_matrix(ell)
-            assert value == cert.value == gamma_upper_bound(ell)
+            assert cert._value == gamma_upper_bound(ell)
 
 
 def test_perturbed_needs_four():
