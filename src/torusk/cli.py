@@ -27,6 +27,9 @@ from .search import max_size
 
 _GAMMA_CACHE = "gamma.txt"
 CERTIFY_BUDGET = 2000  # largest certify-dual --l without --long
+# largest table --to searched without --long: the top of the range the tests
+# re-derive by search (k = 1000 alone takes minutes)
+TABLE_CHECK_BUDGET = 400
 
 
 class _UsageError(Exception):
@@ -191,6 +194,11 @@ def _run_table(args: argparse.Namespace) -> tuple[str, int]:
         raise _UsageError("table needs 1 <= from <= to")
     if hi - lo > 2000 and not args.long_mode:
         raise BudgetError(f"table range {lo}..{hi} needs --long")
+    if hi > TABLE_CHECK_BUDGET and not (args.no_check or args.long_mode):
+        raise BudgetError(
+            f"table --to {hi} searches past k = {TABLE_CHECK_BUDGET}; "
+            "pass --long or --no-check"
+        )
     jobs = [(k, not args.no_check) for k in range(lo, hi + 1)]
     if args.threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:

@@ -28,7 +28,15 @@ def pair_measure(p: Point, q: Point) -> int:
 def check_k_nice(points, k: int) -> str | None:
     """None if the collection is k-nice, else a description of the first
     violated condition (checked in order: nonzero, coprime, duplicate,
-    antipodal, measure)."""
+    antipodal, measure).
+
+    The measure condition is decided on the convex hull H of the points.
+    |det(p, q)| is convex in each argument, so its maximum over H x H is
+    reached at a pair of vertices of H, and the vertices are points of the
+    set: the largest pair measure of the set is the largest over pairs of
+    hull vertices.  Only when that exceeds k are all pairs scanned, to name
+    the first violating one.
+    """
     if k < 0:
         return f"k must be non-negative, got {k}"
     pts = list(points)
@@ -44,6 +52,9 @@ def check_k_nice(points, k: int) -> str | None:
         if (-m, -n) in seen:
             return f"antipodal pair {(-m, -n)} and {p}"
         seen.add(p)
+    hull = convex_hull(pts)
+    if max((abs(m * nq - mq * n) for m, n in hull for mq, nq in hull), default=0) <= k:
+        return None
     # pair_measure inlined: this loop is quadratic in the set's size
     for i, p in enumerate(pts):
         m, n = p

@@ -15,16 +15,19 @@ max(L[i], ceil((b*i - k)/ell)), a function of b alone, and its upper end
 min(U[i], floor((a*i + k)/ell)) is a function of a alone.  Since the
 lower ends only grow with b, row i's term (its window maximum) at b = a
 bounds it for every pair with that a.  Each node gets from its parent
-every row's window maximum over that row's interval; an a's bound starts
-from their sum plus row ell's widest window from a, swaps in a's terms
-row by row and drops a once it is <= N.  A surviving a's terms plus row
-ell's count bound each pair in O(1); a pair past that is scored by
-swapping each row's term at a for its term at (a, b), again stopping at
-<= N, and the lower ends at b are built only then, once per node.  The
-terms of a pair that descends are exactly the child's window maxima, so
-they are handed down instead of recomputed.  Every prune drops only
-candidates whose bound is <= N, so the recursion visits the same
-improving paths in the same order as a plain per-pair scan.
+every row's window maximum over that row's interval and gathers one
+descriptor per row below it (index, interval, window maximum and the
+row's tables), which its loops walk.  An a's bound starts from the sum of
+those maxima plus row ell's widest window from a, swaps in a's terms row
+by row and drops a once it is <= N.  A surviving a's terms plus row ell's
+count bound each pair in O(1); a pair past that is scored by swapping
+each row's term at a for its term at (a, b), with the row's lower end at
+b computed in the loop, again stopping at <= N.  Only a pair that
+descends gathers its lower ends into a list for the child.  The terms of
+such a pair are exactly the child's window maxima, so they are handed
+down instead of recomputed.  Every prune drops only candidates whose
+bound is <= N, so the recursion visits the same improving paths in the
+same order as a plain per-pair scan.
 
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
@@ -34,7 +37,9 @@ height and are skipped, the rest are searched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, isqrt
+from operator import sub
 
 from .closedform import best_low_height_set, height_le3_max
 from .heights import verify_height
@@ -73,22 +78,14 @@ class IntervalTables:
         entry = self._rows.get(i)
         if entry is None:
             k = self.k
-            pre = [0] * (k + 2)
-            acc = 0
-            for z in range(k + 1):
-                pre[z] = acc
-                if gcd(z, i) == 1:
-                    acc += 1
-            pre[k + 1] = acc
+            pre = list(accumulate((gcd(z, i) == 1 for z in range(k + 1)), initial=0))
             w = k // i
-            g = [pre[a + w + 1] - pre[a] for a in range(k - w + 1)]
+            g = list(map(sub, pre[w + 1 :], pre[: k - w + 1]))
             sparse = [g]
             span = 1
             while 2 * span <= len(g):
                 prev = sparse[-1]
-                sparse.append(
-                    [max(prev[t], prev[t + span]) for t in range(len(g) - 2 * span + 1)]
-                )
+                sparse.append(list(map(max, prev, prev[span:])))
                 span *= 2
             entry = self._rows[i] = (w, pre, sparse)
         return entry
@@ -162,20 +159,20 @@ def _backtrack(
     # the bounds from the other endpoint never bind because b >= a and
     # i >= 1.  So upper ends depend only on a and lower ends only on b, and
     # since lower ends only grow with b, row i's term at b = a bounds it
-    # for every pair with that a.  Per node, terms[i] and upper[i] hold
-    # row i's term and upper end at the current a, sub[i] its term at the
-    # current pair, and lows[b] the lower ends at b, built the first time
-    # a pair with that b is scored in full.  A child reads upper, sub and
-    # lows[b] only until it returns.  They are lists, not tuples: dead
-    # tuples of these sizes stay on CPython's tuple free lists and would
-    # add megabytes to the peak RSS.
-    rows = [None] + [tables.row(i) for i in range(1, ell)]
-    row_ell = tables.row(ell)
-    w_ell, pre_ell = row_ell[0], row_ell[1]
+    # for every pair with that a.  desc holds one descriptor per row,
+    # ell - 1 down to 1: (i, L[i], U[i], full[i]) and the row's tables.
+    # Per node, terms[i] and upper[i] hold row i's term and upper end at
+    # the current a and sub[i] its term at the current pair; a pair's lower
+    # ends are computed inside the scoring loop and gathered into a list
+    # only for a pair that descends.  A child reads upper and sub only
+    # until it returns.  They are lists, not tuples: dead tuples of these
+    # sizes stay on CPython's tuple free lists and would add megabytes to
+    # the peak RSS.  The window lookups are _window_max inlined.
+    desc = [(i, L[i], U[i], full[i]) + tables.row(i) for i in range(ell - 1, 0, -1)]
+    w_ell, pre_ell = tables.row(ell)[:2]
     terms = [0] * ell
     upper = [0] * ell
     sub = [0] * ell
-    lows: dict[int, list[int]] = {}
     for a in range(lo_ell, hi_ell + 1):
         if pre_ell[a + 1] == pre_ell[a]:
             continue  # gcd(a, ell) > 1
@@ -186,17 +183,29 @@ def _backtrack(
             b_max = hi_ell
         span = pre_ell[b_max + 1] - pre_ell[a]
         bound = top + span
-        for i in range(ell - 1, 0, -1):
-            lo = -((k - a * i) // ell)
-            if lo < L[i]:
-                lo = L[i]
-            hi = (a * i + k) // ell
-            if hi > U[i]:
-                hi = U[i]
+        for i, lo, hi, t_full, w, pre, sparse in desc:
+            ai = a * i
+            end = -((k - ai) // ell)
+            if end > lo:
+                lo = end
+            end = (ai + k) // ell
+            if end < hi:
+                hi = end
             upper[i] = hi
-            t = _window_max(rows[i], lo, hi) if lo <= hi else 0
+            if lo > hi:
+                t = 0
+            elif hi - lo <= w:
+                t = pre[hi + 1] - pre[lo]
+            else:
+                last = hi - w
+                j = (last - lo + 1).bit_length() - 1
+                level = sparse[j]
+                t = level[lo]
+                y = level[last - (1 << j) + 1]
+                if y > t:
+                    t = y
             terms[i] = t
-            bound += t - full[i]
+            bound += t - t_full
             if bound <= N:
                 break
         if bound <= N:
@@ -212,14 +221,23 @@ def _backtrack(
             np = rest + row_count
             if np <= N:
                 continue
-            lower = lows.get(b)
-            if lower is None:
-                lower = lows[b] = [0] + [
-                    max(L[i], -((k - b * i) // ell)) for i in range(1, ell)
-                ]
-            for i in range(ell - 1, 0, -1):
-                lo, hi = lower[i], upper[i]
-                t = _window_max(rows[i], lo, hi) if lo <= hi else 0
+            for i, lo, _, _, w, pre, sparse in desc:
+                end = -((k - b * i) // ell)
+                if end > lo:
+                    lo = end
+                hi = upper[i]
+                if lo > hi:
+                    t = 0
+                elif hi - lo <= w:
+                    t = pre[hi + 1] - pre[lo]
+                else:
+                    last = hi - w
+                    j = (last - lo + 1).bit_length() - 1
+                    level = sparse[j]
+                    t = level[lo]
+                    y = level[last - (1 << j) + 1]
+                    if y > t:
+                        t = y
                 sub[i] = t
                 np += t - terms[i]
                 if np <= N:
@@ -227,6 +245,7 @@ def _backtrack(
             if np <= N:
                 continue
             # sub now holds the child's window maxima over [lower, upper]
+            lower = [0] + [max(L[i], -((k - b * i) // ell)) for i in range(1, ell)]
             choices.append((ell, a, b))
             N = _backtrack(
                 k, h, N, ell - 1, n_gt + row_count, lower, upper, sub, tables,

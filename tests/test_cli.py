@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from torusk import lp
+from torusk import cli, lp, search
 from torusk.cli import main
 from torusk.closedform import pattern_or_table
 
@@ -204,6 +204,44 @@ def test_table_budget_guard(capsys):
     code, _, err = run_cli(capsys, "table", "--from", "1", "--to", "2500")
     assert code == 3
     assert "--long" in err
+
+
+@pytest.fixture
+def stub_search(monkeypatch):
+    # stands in for max_size so a sweep near the budget runs instantly; the
+    # stub's answer is the closed form, so a sweep it serves matches
+    searched = []
+
+    def stub(k):
+        searched.append(k)
+        return search.SearchOutcome(k, pattern_or_table(k).value, None, ())
+
+    monkeypatch.setattr(cli, "max_size", stub)
+    return searched
+
+
+@pytest.mark.parametrize("lo", ["1", "401"])
+def test_table_search_budget_checked_before_searching(capsys, stub_search, lo):
+    code, out, err = run_cli(capsys, "table", "--from", lo, "--to", "401")
+    assert (code, out, stub_search) == (3, "", [])
+    assert err == (
+        "budget exceeded: table --to 401 searches past k = 400; "
+        "pass --long or --no-check\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "lo, hi, extra, searched",
+    [
+        ("399", "400", (), [399, 400]),
+        ("400", "401", ("--long",), [400, 401]),
+        ("400", "401", ("--no-check",), []),
+    ],
+)
+def test_table_search_budget_allows(capsys, stub_search, lo, hi, extra, searched):
+    code, out, _ = run_cli(capsys, "table", "--from", lo, "--to", hi, *extra)
+    assert (code, stub_search) == (0, searched)
+    assert out.splitlines()[-1].startswith(hi + ",")
 
 
 def test_lp_gamma_single(capsys):

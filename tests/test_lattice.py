@@ -82,6 +82,102 @@ def test_check_k_nice_reports_first_pair_like_pair_measure_scan(pts, k):
     assert check_k_nice(pts, k) == want
 
 
+def _plain_check_k_nice(pts, k):
+    """check_k_nice with the measure condition decided by scanning every pair."""
+    seen = set()
+    for p in pts:
+        m, n = p
+        if m == 0 and n == 0:
+            return "contains (0, 0)"
+        if gcd(m, n) != 1:
+            return f"non-coprime point {p}"
+        if p in seen:
+            return f"duplicate point {p}"
+        if (-m, -n) in seen:
+            return f"antipodal pair {(-m, -n)} and {p}"
+        seen.add(p)
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            if pair_measure(p, q) > k:
+                return f"pair_measure{p, q} = {pair_measure(p, q)} > k = {k}"
+    return None
+
+
+def _one_point_moved(pts, k):
+    """pts with its last point replaced (or, for one point, joined) by a point
+    p' with pair_measure(p', pts[0]) = k + 1.  With x*b - a*y = 1 for
+    pts[0] = (a, b), p' = (k + 1)*(x, y) + (a, b) is coprime."""
+    a, b = pts[0]
+    g, x, y = _ext_gcd(b, -a)
+    assert g == 1
+    moved = ((k + 1) * x + a, (k + 1) * y + b)
+    assert pair_measure(moved, pts[0]) == k + 1 and gcd(*moved) == 1
+    return pts[:-1] + [moved] if len(pts) > 1 else pts + [moved]
+
+
+def _ext_gcd(u, v):
+    """(g, x, y) with u*x + v*y = g = gcd(u, v) >= 0."""
+    if v == 0:
+        return (abs(u), 1 if u >= 0 else -1, 0)
+    g, x, y = _ext_gcd(v, u % v)
+    return g, y, x - (u // v) * y
+
+
+wide_points = st.tuples(st.integers(-300, 300), st.integers(-300, 300)).filter(
+    lambda p: gcd(p[0], p[1]) == 1
+)
+
+
+@st.composite
+def collinear_points(draw):
+    """Coprime points on one line c + t*d that misses the origin."""
+    c = draw(wide_points)
+    d = draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda d: d != (0, 0)))
+    ts = draw(st.lists(st.integers(-40, 40), unique=True, max_size=80))
+    line = [(c[0] + t * d[0], c[1] + t * d[1]) for t in ts]
+    return [p for p in line if gcd(*p) == 1] or [c]
+
+
+def _antipode_free(pts):
+    return [p for i, p in enumerate(pts) if not {p, (-p[0], -p[1])} & set(pts[:i])]
+
+
+@given(
+    st.one_of(
+        st.lists(wide_points, min_size=1, max_size=2),
+        st.lists(wide_points, max_size=80),
+        collinear_points(),
+    ).map(_antipode_free),
+    st.integers(-2, 2),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_hull_measure_check_matches_pair_scan(pts, offset, moved):
+    # k sits next to the set's largest pair measure, so both verdicts occur
+    top = max((pair_measure(p, q) for p in pts for q in pts), default=0)
+    k = max(0, top + offset)
+    if moved and pts:
+        pts = _one_point_moved(pts, k)
+    assert check_k_nice(pts, k) == _plain_check_k_nice(pts, k)
+
+
+def _known_sets():
+    from torusk.closedform import EXTREMAL_K, construct_extremal
+    from torusk.search import max_size
+
+    yield from ((k, list(max_size(k).witness.points)) for k in range(3, 61))
+    yield from ((k, list(construct_extremal(k).points)) for k in EXTREMAL_K)
+
+
+def test_hull_measure_check_matches_pair_scan_on_known_sets():
+    for k, pts in _known_sets():
+        assert check_k_nice(pts, k) is None
+        moved = _one_point_moved(pts, k)
+        want = _plain_check_k_nice(moved, k)
+        assert want is not None
+        assert check_k_nice(moved, k) == want, k
+
+
 def test_nice_set_validation_and_roundtrips():
     q = NiceSet.from_points([(1, 0), (0, 1), (1, 1)], 1)
     assert len(q) == 3 and (1, 1) in q

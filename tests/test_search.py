@@ -1,5 +1,6 @@
 """Branch-and-bound search over admissible row fillings."""
 
+import hashlib
 from math import gcd, isqrt
 
 import pytest
@@ -15,6 +16,17 @@ from torusk.search import IntervalTables, compute, compute_with_witness, max_siz
 
 def naive_count(i, a, b):
     return sum(1 for z in range(a, b + 1) if gcd(z, i) == 1)
+
+
+# sha256 of repr([tables.row(i) for i in range(1, 31)]), recorded from the
+# per-element row build; repr also tells an int from a bool
+ROW_DIGESTS = {
+    3: "fabf923b2dc61bf559044bcbcfb772a95ca59851d8d4a0375dd4e0aee03e5ac2",
+    7: "e8225c3415883925709c02ba9da8392246facfc46fdd0558f99bc853264cf7e8",
+    96: "86388bd38b5250d09420c87a1a28164b72628936bdca20e1c4a64a58c1f54cd2",
+    152: "98ed804b44e28834b76fd9765f3faa739ad09c45dd989e822bcbc25ed290c03a",
+    301: "572cbb792e69647344e91b87f793a204a1cf5de224effaadbfe5efa7fbc6a0af",
+}
 
 
 class TestIntervalTables:
@@ -46,6 +58,12 @@ class TestIntervalTables:
             for lo in range(a, b + 1)
         )
         assert tables.window_max(i, a, b) == want
+
+    @pytest.mark.parametrize("k", sorted(ROW_DIGESTS))
+    def test_rows_match_recorded_tables(self, k):
+        tables = IntervalTables(k)
+        rows = repr([tables.row(i) for i in range(1, 31)])
+        assert hashlib.sha256(rows.encode()).hexdigest() == ROW_DIGESTS[k]
 
     def test_count_bounds_checked(self):
         tables = IntervalTables(10)
@@ -262,29 +280,40 @@ def test_search_prunes_match_plain_pair_scan():
                     k, h, baseline)
 
 
+class _CountedList(list):
+    """A table row that counts its element reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountedList.reads += 1
+        return list.__getitem__(self, index)
+
+
 def test_search_prune_work_stays_pinned(monkeypatch):
     # A prune that weakens without changing answers (say, an early exit
     # that lets a bound equal to N through, or a child handed a looser row
     # bound than its own intervals give) passes the plain-scan test, so
-    # count the row lookups of a fixed sweep: 32,215 is the count with every
-    # prune dropping bounds <= N and each child handed its pair's row terms
-    # (43,718 before the early-exit pair scoring, 97,010 before the per-a
-    # early exit).
-    calls = 0
-    real = search._window_max
+    # count the table reads of a fixed sweep: every prefix and sparse-level
+    # element the search reads, wherever its window lookups are written.
+    # 158,274 is the count with every prune dropping bounds <= N and each
+    # child handed its pair's row terms.
+    real = IntervalTables.row
 
-    def counting(row, lo, hi):
-        nonlocal calls
-        calls += 1
-        return real(row, lo, hi)
+    def counted_row(self, i):
+        w, pre, sparse = real(self, i)
+        if type(pre) is not _CountedList:
+            self._rows[i] = (w, _CountedList(pre), [_CountedList(s) for s in sparse])
+        return self._rows[i]
 
-    monkeypatch.setattr(search, "_window_max", counting)
+    monkeypatch.setattr(IntervalTables, "row", counted_row)
+    monkeypatch.setattr(_CountedList, "reads", 0)
     for k in range(40, 49):
         n_k = pattern_or_table(k).value
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute(k, h, n_k - 1, tables)
-    assert calls <= 32_215
+    assert _CountedList.reads <= 158_274
 
 
 def test_passed_down_bounds_match_recomputed(monkeypatch):
