@@ -255,6 +255,9 @@ def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _run_verify_height(args: argparse.Namespace) -> tuple[str, int]:
+    single = args.k is not None or args.h is not None
+    if single and (args.k_from is not None or args.k_to is not None):
+        raise _UsageError("verify-height takes --k/--h or --from/--to, not both")
     if args.k is not None and args.h is not None:
         if not 2 <= args.h <= args.k:
             raise _UsageError(
@@ -262,9 +265,10 @@ def _run_verify_height(args: argparse.Namespace) -> tuple[str, int]:
             )
         verdicts = [verify_height(args.k, args.h)]
     elif args.k_from is not None and args.k_to is not None:
-        if args.k_from < 0:
+        if not 0 <= args.k_from <= args.k_to:
             raise _UsageError(
-                f"verify-height needs --from >= 0, got --from {args.k_from}"
+                "verify-height needs 0 <= --from <= --to, "
+                f"got --from {args.k_from} --to {args.k_to}"
             )
         if args.k_to - args.k_from > 5000 and not args.long_mode:
             raise BudgetError("verify-height sweep that large needs --long")

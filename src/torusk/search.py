@@ -25,17 +25,29 @@ each row's term at a for its term at (a, b), with the row's lower end at
 b computed in the loop, again stopping at <= N.  Only a pair that
 descends gathers its lower ends into a list for the child.  The terms of
 such a pair are exactly the child's window maxima, so they are handed
-down instead of recomputed.  Every prune drops only candidates whose
-bound is <= N, so the recursion visits the same improving paths in the
-same order as a plain per-pair scan.
+down instead of recomputed.  For a fixed a, row ell's count only grows
+with b and every other row's term only shrinks, so a pair stopped at
+partial bound np <= N also stops every later b whose count is at most
+its own plus N - np; b jumps by bisection to the first count above that
+cap and above N minus the a's bound without row ell.  Every prune drops
+only candidates whose bound is <= N, so the recursion visits the same
+improving paths in the same order as a plain per-pair scan.
 
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
-height and are skipped, the rest are searched.
+height and are skipped, the rest are searched with the irreducibility
+cut.  A top-row pair (a, b) fixes the shear t = -((2a + h) // (2h)) that
+heights.reduce_height_sqrt2k uses to centre the least top point, and a
+node whose completions all keep |x + t*y| < h is dropped: shearing by t
+and turning a quarter takes every such set below height h.  The result
+is then at most the exact per-height maximum, and max_size's final N(k)
+is still exact (see max_size); compute and compute_with_witness without
+irreducible_only return the exact per-height maximum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, isqrt
@@ -131,6 +143,8 @@ def _backtrack(
     tables: IntervalTables,
     choices: list[tuple[int, int, int]],
     best: list,
+    t: int,
+    inside: bool,
 ) -> int:
     """Best size above N with rows above ell fixed, contributing n_gt points.
 
@@ -138,6 +152,9 @@ def _backtrack(
     padding), and full[i] for 1 <= i < ell is row i's window maximum over
     it (0 when the interval is empty).  The lists may run past ell, are
     only read, and the intervals only shrink as the recursion descends.
+    While inside is set, every fixed point has |x + t*y| < h, and only
+    completions that leave that strip are searched; at the root it turns
+    the cut on, and each top-row a picks its own t.
     """
     if ell == 0:
         # every path reaching the bottom was pruned against the current N,
@@ -147,10 +164,12 @@ def _backtrack(
     base = n_gt + 1
     # full[i] bounds row i over [L[i], U[i]], so over every subinterval too
     top = base + sum(full[:ell])
-    if ell < h and top > N:
+    if ell < h and top > N and not (inside and _stays_inside(h, t, ell, L, U)):
         # option: leave row ell empty (the top row h must stay occupied);
         # rows below keep their intervals and so their bounds
-        N = _backtrack(k, h, N, ell - 1, n_gt, L, U, full, tables, choices, best)
+        N = _backtrack(
+            k, h, N, ell - 1, n_gt, L, U, full, tables, choices, best, t, inside
+        )
     lo_ell, hi_ell = L[ell], U[ell]
     if lo_ell > hi_ell:
         return N
@@ -170,6 +189,7 @@ def _backtrack(
     # the peak RSS.  The window lookups are _window_max inlined.
     desc = [(i, L[i], U[i], full[i]) + tables.row(i) for i in range(ell - 1, 0, -1)]
     w_ell, pre_ell = tables.row(ell)[:2]
+    root_cut = inside and ell == h
     terms = [0] * ell
     upper = [0] * ell
     sub = [0] * ell
@@ -183,7 +203,7 @@ def _backtrack(
             b_max = hi_ell
         span = pre_ell[b_max + 1] - pre_ell[a]
         bound = top + span
-        for i, lo, hi, t_full, w, pre, sparse in desc:
+        for i, lo, hi, x_full, w, pre, sparse in desc:
             ai = a * i
             end = -((k - ai) // ell)
             if end > lo:
@@ -193,66 +213,97 @@ def _backtrack(
                 hi = end
             upper[i] = hi
             if lo > hi:
-                t = 0
+                x = 0
             elif hi - lo <= w:
-                t = pre[hi + 1] - pre[lo]
+                x = pre[hi + 1] - pre[lo]
             else:
                 last = hi - w
                 j = (last - lo + 1).bit_length() - 1
                 level = sparse[j]
-                t = level[lo]
+                x = level[lo]
                 y = level[last - (1 << j) + 1]
-                if y > t:
-                    t = y
-            terms[i] = t
-            bound += t - t_full
+                if y > x:
+                    x = y
+            terms[i] = x
+            bound += x - x_full
             if bound <= N:
                 break
         if bound <= N:
             continue
-        # rest + row ell's count bounds each pair (a, b) in O(1); a pair
-        # scored in full swaps each row's term at a for its term at (a, b),
-        # which only lowers the bound, and stops once it is <= N
+        # rest + row ell's count bounds each pair (a, b).  A pair scored in
+        # full swaps each row's term at a for its term at (a, b), which only
+        # lowers the bound, and stops once it is <= N.  Row ell's count only
+        # grows with b and every row's term only shrinks, so a pair stopped
+        # at np also stops every later b whose count is at most
+        # row_count + N - np: b jumps to the first count above both caps.
         rest = bound - span
-        for b in range(a, b_max + 1):
-            if pre_ell[b + 1] == pre_ell[b]:
-                continue  # gcd(b, ell) > 1
-            row_count = pre_ell[b + 1] - pre_ell[a]
+        pre_a = pre_ell[a]
+        stop = b_max + 2
+        cap = 0
+        if root_cut:
+            t = -((2 * a + h) // (2 * h))
+        while True:
+            need = N - rest
+            if need < cap:
+                need = cap
+            # need >= 0 and >= the last b's count, so b lands on the first b
+            # past it with pre_ell[b] <= pre_a + need < pre_ell[b + 1], which
+            # makes gcd(b, ell) = 1
+            b = bisect_right(pre_ell, pre_a + need, a + 1, stop) - 1
+            if b > b_max:
+                break
+            row_count = cap = pre_ell[b + 1] - pre_a
             np = rest + row_count
-            if np <= N:
-                continue
             for i, lo, _, _, w, pre, sparse in desc:
                 end = -((k - b * i) // ell)
                 if end > lo:
                     lo = end
                 hi = upper[i]
                 if lo > hi:
-                    t = 0
+                    x = 0
                 elif hi - lo <= w:
-                    t = pre[hi + 1] - pre[lo]
+                    x = pre[hi + 1] - pre[lo]
                 else:
                     last = hi - w
                     j = (last - lo + 1).bit_length() - 1
                     level = sparse[j]
-                    t = level[lo]
+                    x = level[lo]
                     y = level[last - (1 << j) + 1]
-                    if y > t:
-                        t = y
-                sub[i] = t
-                np += t - terms[i]
+                    if y > x:
+                        x = y
+                sub[i] = x
+                np += x - terms[i]
                 if np <= N:
                     break
             if np <= N:
+                cap += N - np
                 continue
             # sub now holds the child's window maxima over [lower, upper]
             lower = [0] + [max(L[i], -((k - b * i) // ell)) for i in range(1, ell)]
+            stays = inside and -h < a + t * ell and b + t * ell < h
+            if stays and _stays_inside(h, t, ell, lower, upper):
+                # lower ends only grow with b, so every b < h - t*ell stays too
+                c = h - t * ell
+                if c > b_max:
+                    c = b_max + 1
+                cap = pre_ell[c] - pre_a
+                continue
             choices.append((ell, a, b))
             N = _backtrack(
                 k, h, N, ell - 1, n_gt + row_count, lower, upper, sub, tables,
-                choices, best,
+                choices, best, t, stays,
             )
             choices.pop()
     return N
+
+
+def _stays_inside(h: int, t: int, ell: int, lower: list[int], upper: list[int]) -> bool:
+    """No open row i < ell has room for a point with |x + t*i| >= h."""
+    for i in range(1, ell):
+        lo, hi = lower[i], upper[i]
+        if lo <= hi and (hi + t * i >= h or lo + t * i <= -h):
+            return False
+    return True
 
 
 def _witness_from_choices(k: int, choices: list[tuple[int, int, int]]) -> NiceSet:
@@ -263,9 +314,14 @@ def _witness_from_choices(k: int, choices: list[tuple[int, int, int]]) -> NiceSe
 
 
 def compute_with_witness(
-    k: int, h: int, N: int, tables: IntervalTables | None = None
+    k: int, h: int, N: int, tables: IntervalTables | None = None, *,
+    irreducible_only: bool = False,
 ) -> tuple[int, NiceSet | None]:
-    """compute(k, h, N) plus the set behind an improved value, if any."""
+    """compute(k, h, N) plus the set behind an improved value, if any.
+
+    irreducible_only skips the sets that the shear and quarter turn of
+    heights.reduce_height_sqrt2k move below height h (see max_size).
+    """
     if not (2 <= h <= k):
         raise ValueError(f"need 2 <= h <= k, got h = {h}, k = {k}")
     if N < 1:
@@ -279,7 +335,9 @@ def compute_with_witness(
     lower = [0, 0] + [1] * (h - 1)
     upper = [0] + [k] * h
     full = [0] + [_window_max(tables.row(i), lower[i], k) for i in range(1, h)]
-    result = _backtrack(k, h, N, h, 0, lower, upper, full, tables, choices, best)
+    result = _backtrack(
+        k, h, N, h, 0, lower, upper, full, tables, choices, best, 0, irreducible_only
+    )
     if result <= N or best[0] is None:
         return result, None
     witness = _witness_from_choices(k, best[0])
@@ -320,7 +378,18 @@ def max_size(k: int) -> SearchOutcome:
     normalized to height at most sqrt(2k), so sweeping h from 2 to
     floor(sqrt(2k)) covers everything: a Verified verdict at h means
     height-h sets never beat smaller heights (no search needed), and the
-    remaining heights are searched exactly.
+    remaining heights are searched with the irreducibility cut.
+
+    The cut keeps N(k) exact.  It drops a set of height h only when every
+    point has |x + t*y| < h, with t the shear of its least top point;
+    shearing by t and applying heights.ROT then gives an equivalent set of
+    lower height.  Take a canonical maximum set of least height.  Had the
+    cut dropped it, its image would be a maximum set, hence
+    inclusion-maximal, of lower height, and canonical_position would put
+    that image in the box at its own height, where the search looks:
+    against the choice of least height.  The argument says nothing about
+    per_height or the witness; the tests check that both match the exact
+    searches.
     """
     if k < 3:
         raise ValueError(f"max_size needs k >= 3, got {k}")
@@ -333,7 +402,7 @@ def max_size(k: int) -> SearchOutcome:
         if verdict.verified:
             per_height.append((h, "skipped-verified", N))
             continue
-        result, found = compute_with_witness(k, h, N, tables)
+        result, found = compute_with_witness(k, h, N, tables, irreducible_only=True)
         if result > N:
             N = result
             witness = found

@@ -100,6 +100,8 @@ def test_compute_flags_checked_before_shortcuts(capsys, argv):
         ("lp-gamma", "--l", "0"),
         ("verify-height", "--k", "3", "--h", "1"),
         ("verify-height", "--from", "-5", "--to", "3"),
+        ("verify-height", "--from", "10", "--to", "5"),
+        ("verify-height", "--k", "5", "--from", "3", "--to", "9"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusk import lattice, search
-from torusk.closedform import pattern_or_table
+from torusk.closedform import best_low_height_set, height_le3_max, pattern_or_table
 from torusk.heights import ROT, reduce_height_sqrt2k, verify_height
 from torusk.oracle import brute_force_max
 from torusk.search import IntervalTables, compute, compute_with_witness, max_size
@@ -211,14 +211,17 @@ def test_canonical_box_holds_every_maximal_set(q):
     assert all(0 <= m <= k and 0 <= n <= isqrt(2 * k) for m, n in canon.points)
 
 
-def _reference_backtrack(k, h, N, ell, n_gt, L, U, tables, choices, best):
+def _reference_backtrack(k, h, N, ell, n_gt, L, U, tables, choices, best, keep=None):
     """The recursion of search._backtrack as a plain per-pair scan.
 
     Every (a, b) pair is scored through the validated IntervalTables API,
     row i's interval is cut by both endpoints of row ell on both sides,
     and nothing is pruned but a pair (or an empty row) whose bound is <= N.
+    With keep, only complete sets whose choices pass keep count.
     """
     if ell == 0:
+        if keep is not None and not keep(choices):
+            return N
         best[0] = list(choices)
         return n_gt + 1
 
@@ -230,7 +233,9 @@ def _reference_backtrack(k, h, N, ell, n_gt, L, U, tables, choices, best):
         )
 
     if ell < h and n_gt + 1 + score(L, U) > N:
-        N = _reference_backtrack(k, h, N, ell - 1, n_gt, L, U, tables, choices, best)
+        N = _reference_backtrack(
+            k, h, N, ell - 1, n_gt, L, U, tables, choices, best, keep
+        )
     for a in range(L[ell], U[ell] + 1):
         for b in range(a, U[ell] + 1):
             if gcd(a, ell) != 1 or gcd(b, ell) != 1 or (b - a) * ell > k:
@@ -248,17 +253,18 @@ def _reference_backtrack(k, h, N, ell, n_gt, L, U, tables, choices, best):
                 continue
             choices.append((ell, a, b))
             N = _reference_backtrack(
-                k, h, N, ell - 1, n_gt + row_count, lower, upper, tables, choices, best
+                k, h, N, ell - 1, n_gt + row_count, lower, upper, tables, choices,
+                best, keep,
             )
             choices.pop()
     return N
 
 
-def _reference_compute(k, h, N, tables):
+def _reference_compute(k, h, N, tables, keep=None):
     best = [None]
     lower = [0, 0] + [1] * (h - 1)
     upper = [0] + [k] * h
-    result = _reference_backtrack(k, h, N, h, 0, lower, upper, tables, [], best)
+    result = _reference_backtrack(k, h, N, h, 0, lower, upper, tables, [], best, keep)
     if result <= N:
         return result, None
     points = [(1, 0)] + [
@@ -280,6 +286,92 @@ def test_search_prunes_match_plain_pair_scan():
                     k, h, baseline)
 
 
+def _exact_max_size(k):
+    """max_size(k) with every searched height searched exactly."""
+    n = height_le3_max(k)
+    witness = best_low_height_set(k)
+    tables = IntervalTables(k)
+    per_height = []
+    for h in range(2, isqrt(2 * k) + 1):
+        if verify_height(k, h).verified:
+            per_height.append((h, "skipped-verified", n))
+            continue
+        result, found = compute_with_witness(k, h, n, tables)
+        if result > n:
+            n, witness = result, found
+            per_height.append((h, "improved", n))
+        else:
+            per_height.append((h, "searched", n))
+    return search.SearchOutcome(k, n, witness, tuple(per_height))
+
+
+def test_irreducibility_cut_keeps_max_size():
+    # the cut's argument covers only the final maximum; per-height results
+    # and the witness must match the exact searches too
+    for k in range(3, 121):
+        assert max_size(k) == _exact_max_size(k), k
+
+
+@pytest.mark.slow
+def test_irreducibility_cut_keeps_max_size_to_400():
+    # opt-in (pytest -m slow): about 4 min on a 2-core host
+    for k in range(121, 401):
+        assert max_size(k) == _exact_max_size(k), k
+
+
+def test_irreducibility_cut_drops_only_reducible_sets():
+    # where the cut lowers a height's result, every set of the exact
+    # maximum is reducible, so the exact witness is: its top row's shear
+    # and a quarter turn take it below height h
+    lowered = 0
+    for k in range(13, 61):
+        n_k = pattern_or_table(k).value
+        tables = IntervalTables(k)
+        for h in range(2, isqrt(2 * k) + 1):
+            for baseline in (1, k + 2, n_k - 1):
+                exact, witness = compute_with_witness(k, h, baseline, tables)
+                cut = compute_with_witness(
+                    k, h, baseline, tables, irreducible_only=True
+                )[0]
+                assert baseline <= cut <= exact, (k, h, baseline)
+                if cut == exact:
+                    continue
+                lowered += 1
+                x0 = min(m for m, n in witness.points if n == h)
+                t = -((2 * x0 + h) // (2 * h))
+                turned = lattice.apply_matrix(
+                    lattice.apply_matrix(witness, lattice.shear_power(t)), ROT
+                )
+                assert lattice.height(lattice.normalize_y_nonneg(turned)) < h, (
+                    k, h, baseline)
+    assert lowered > 0
+
+
+def _leaves_strip(choices):
+    """Whether a set's row endpoints leave |x + t*y| < h, with t the shear
+    that centres the least top point, as heights.reduce_height_sqrt2k does."""
+    h, a_top, _ = choices[0]
+    t = -((2 * a_top + h) // (2 * h))
+    return any(b + t * ell >= h or a + t * ell <= -h for ell, a, b in choices)
+
+
+def test_irreducibility_cut_matches_filtered_pair_scan():
+    # the cut may only skip subtrees without a set that leaves the strip:
+    # value and witness must be those of a plain scan that counts only the
+    # sets that leave it (baseline 1 is left out: where no set leaves, the
+    # plain scan never raises N and walks the whole tree)
+    for k in range(13, 39):
+        n_k = pattern_or_table(k).value
+        tables = IntervalTables(k)
+        for h in range(2, isqrt(2 * k) + 1):
+            for baseline in (k + 2, n_k - 1):
+                want = _reference_compute(k, h, baseline, tables, _leaves_strip)
+                got = compute_with_witness(
+                    k, h, baseline, tables, irreducible_only=True
+                )
+                assert got == want, (k, h, baseline)
+
+
 class _CountedList(list):
     """A table row that counts its element reads."""
 
@@ -290,14 +382,9 @@ class _CountedList(list):
         return list.__getitem__(self, index)
 
 
-def test_search_prune_work_stays_pinned(monkeypatch):
-    # A prune that weakens without changing answers (say, an early exit
-    # that lets a bound equal to N through, or a child handed a looser row
-    # bound than its own intervals give) passes the plain-scan test, so
-    # count the table reads of a fixed sweep: every prefix and sparse-level
-    # element the search reads, wherever its window lookups are written.
-    # 158,274 is the count with every prune dropping bounds <= N and each
-    # child handed its pair's row terms.
+@pytest.fixture
+def counted_tables(monkeypatch):
+    """Count every prefix and sparse-level element the search reads."""
     real = IntervalTables.row
 
     def counted_row(self, i):
@@ -308,12 +395,39 @@ def test_search_prune_work_stays_pinned(monkeypatch):
 
     monkeypatch.setattr(IntervalTables, "row", counted_row)
     monkeypatch.setattr(_CountedList, "reads", 0)
+
+
+def test_search_prune_work_stays_pinned(counted_tables):
+    # A prune that weakens without changing answers (say, an early exit
+    # that lets a bound equal to N through, a child handed a looser row
+    # bound than its own intervals give, or a b loop that forgets the
+    # count cap of a stopped pair) passes the plain-scan test, so count
+    # the table reads of a fixed sweep: every prefix and sparse-level
+    # element the search reads, wherever its window lookups are written.
+    # 126,983 is the count with every prune dropping bounds <= N, each
+    # child handed its pair's row terms and b jumping past both caps.
     for k in range(40, 49):
         n_k = pattern_or_table(k).value
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute(k, h, n_k - 1, tables)
-    assert _CountedList.reads <= 158_274
+    assert _CountedList.reads <= 126_983
+
+
+def test_irreducibility_cut_work_stays_pinned(counted_tables):
+    # the same for the cut, which skips subtrees that stay inside the strip
+    # |x + t*y| < h: max_size loses 43,352 reads to a cut without its pair
+    # gate, and only a low baseline leaves rows empty often enough that a
+    # cut without its empty-row gate reads more than 520,757
+    for k in range(40, 49):
+        max_size(k)
+    assert _CountedList.reads <= 43_352
+    _CountedList.reads = 0
+    for k in range(40, 49):
+        tables = IntervalTables(k)
+        for h in range(2, isqrt(2 * k) + 1):
+            compute_with_witness(k, h, 1, tables, irreducible_only=True)
+    assert _CountedList.reads <= 520_757
 
 
 def test_passed_down_bounds_match_recomputed(monkeypatch):
@@ -323,7 +437,7 @@ def test_passed_down_bounds_match_recomputed(monkeypatch):
     real = search._backtrack
     nodes = 0
 
-    def checking(k, h, N, ell, n_gt, L, U, full, tables, choices, best):
+    def checking(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside):
         nonlocal nodes
         nodes += 1
         for i in range(1, ell):
@@ -331,7 +445,7 @@ def test_passed_down_bounds_match_recomputed(monkeypatch):
                 search._window_max(tables.row(i), L[i], U[i]) if L[i] <= U[i] else 0
             )
             assert full[i] == want, (k, h, ell, i)
-        return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best)
+        return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside)
 
     monkeypatch.setattr(search, "_backtrack", checking)
     for k in range(13, 41):
