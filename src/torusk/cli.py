@@ -146,6 +146,9 @@ def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
         raise _UsageError("compute needs --k >= 1")
     if args.baseline is not None and args.h is None:
         raise _UsageError("compute --baseline needs --h")
+    if args.witness and not args.json and args.h is None:
+        # the text output is the value alone, so the witness would be dropped
+        raise _UsageError("compute --witness needs --json")
     if args.h is not None:
         from .search import compute_with_witness
 

@@ -17,7 +17,11 @@ lower ends only grow with b, row i's term (its window maximum) at b = a
 bounds it for every pair with that a.  Each node gets from its parent
 every row's window maximum over that row's interval and gathers one
 descriptor per row below it (index, interval, window maximum and the
-row's tables), which its loops walk.  An a's bound starts from the sum of
+row's tables), zipping its interval lists with the per-k table columns
+of IntervalTables.columns.  Both loops walk these rows densest first,
+by window maximum, largest first: the rows with the most points have
+the most to lose to a's and b's cuts, so a bound that falls to N tends
+to get there in fewer rows.  An a's bound starts from the sum of
 those maxima plus row ell's widest window from a, swaps in a's terms row
 by row and drops a once it is <= N.  A surviving a's terms plus row ell's
 count bound each pair in O(1); a pair past that is scored by swapping
@@ -30,8 +34,15 @@ with b and every other row's term only shrinks, so a pair stopped at
 partial bound np <= N also stops every later b whose count is at most
 its own plus N - np; b jumps by bisection to the first count above that
 cap and above N minus the a's bound without row ell.  Every prune drops
-only candidates whose bound is <= N, so the recursion visits the same
-improving paths in the same order as a plain per-pair scan.
+only candidates whose bound is <= N, and each swap only lowers a bound,
+so in any row order the recursion visits the same improving paths in
+the same order as a plain per-pair scan; the order moves only where a
+loop stops and how far b jumps.
+
+The row tables are periodic: gcd(z + i, i) = gcd(z, i), so row i's
+coprime indicator, its window counts and every level of its sparse
+table repeat every i.  IntervalTables.row builds one period of each and
+tiles it to full length by list repetition.
 
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
@@ -51,7 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, isqrt
-from operator import sub
+from operator import itemgetter, sub
 
 from .closedform import best_low_height_set, height_le3_max
 from .heights import verify_height
@@ -70,7 +81,13 @@ class IntervalTables:
     bounds the contribution of row i to any k-nice set confined to
     [a, b].  Tables are built lazily per row and hold for i >= 1 and
     0 <= a <= b <= k.  count and window_max validate their arguments;
-    the search reads the raw tables through row().
+    the search reads the raw tables through row() and columns().
+
+    Row i's coprime indicator repeats every i, and so do its window
+    counts and every sparse level, so row() builds one period of each
+    and tiles it to full length.  columns(n) keeps the w, prefix and
+    sparse entries of rows 1..n as three lists indexed by row, which a
+    search node slices next to its own interval bounds.
     """
 
     def __init__(self, k: int):
@@ -78,6 +95,8 @@ class IntervalTables:
             raise ValueError(f"k must be positive, got {k}")
         self.k = k
         self._rows: dict[int, Row] = {}
+        # index 0 is padding, so column[i] is row i's entry
+        self._columns: tuple[list, list, list] = ([0], [[]], [[]])
 
     def row(self, i: int) -> Row:
         """(w, prefix, sparse) for row i >= 1, unchecked.
@@ -86,21 +105,39 @@ class IntervalTables:
         the number of coprimes to i in [0, z), for z in 0..k+1; sparse[j][t]
         is the largest count over a window [a', a' + w] with a' in
         [t, t + 2**j), so a range maximum of window starts is two reads.
+        A level whose span 2**j is at least i holds the largest window
+        count of a period at every t.
         """
         entry = self._rows.get(i)
         if entry is None:
             k = self.k
-            pre = list(accumulate((gcd(z, i) == 1 for z in range(k + 1)), initial=0))
             w = k // i
-            g = list(map(sub, pre[w + 1 :], pre[: k - w + 1]))
-            sparse = [g]
+            n = k - w + 1  # window starts 0..k-w
+            mask = [gcd(z, i) == 1 for z in range(i)]
+            pre = list(accumulate(_tiled(mask, k + 1), initial=0))
+            # one period of window counts, or all n of them when n < i (only
+            # for i > k), where no kept entry of a level wraps around
+            level = list(map(sub, pre[w + 1 : w + 1 + i], pre[:i]))
+            sparse = [_tiled(level, n)]
             span = 1
-            while 2 * span <= len(g):
-                prev = sparse[-1]
-                sparse.append(list(map(max, prev, prev[span:])))
+            while 2 * span <= n:
+                # windows wrap around the period; once 2 * span >= i every
+                # entry is the period's maximum and later steps keep it
+                level = list(map(max, level, level[span:] + level[:span]))
                 span *= 2
+                sparse.append(_tiled(level, n - span + 1))
             entry = self._rows[i] = (w, pre, sparse)
         return entry
+
+    def columns(self, n: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
+        """(w, prefix, sparse) column lists covering rows 0..n, from row()."""
+        ws, pres, sparses = columns = self._columns
+        for i in range(len(ws), n + 1):
+            w, pre, sparse = self.row(i)
+            ws.append(w)
+            pres.append(pre)
+            sparses.append(sparse)
+        return columns
 
     def _check(self, i: int, a: int, b: int) -> None:
         if i < 1:
@@ -116,6 +153,12 @@ class IntervalTables:
     def window_max(self, i: int, a: int, b: int) -> int:
         self._check(i, a, b)
         return _window_max(self.row(i), a, b)
+
+
+def _tiled(period: list, length: int) -> list:
+    """period repeated, cut to length entries."""
+    q, r = divmod(length, len(period))
+    return period * q + period[:r]
 
 
 def _window_max(row: Row, lo: int, hi: int) -> int:
@@ -179,7 +222,10 @@ def _backtrack(
     # i >= 1.  So upper ends depend only on a and lower ends only on b, and
     # since lower ends only grow with b, row i's term at b = a bounds it
     # for every pair with that a.  desc holds one descriptor per row,
-    # ell - 1 down to 1: (i, L[i], U[i], full[i]) and the row's tables.
+    # (i, L[i], U[i], full[i]) and the row's tables, densest row first:
+    # by full[i], largest first, ties by ascending i.  Every swap only
+    # lowers a bound, so any order prunes the same candidates, and rows
+    # with the largest maxima tend to lose the most and stop a loop soonest.
     # Per node, terms[i] and upper[i] hold row i's term and upper end at
     # the current a and sub[i] its term at the current pair; a pair's lower
     # ends are computed inside the scoring loop and gathered into a list
@@ -187,8 +233,13 @@ def _backtrack(
     # until it returns.  They are lists, not tuples: dead tuples of these
     # sizes stay on CPython's tuple free lists and would add megabytes to
     # the peak RSS.  The window lookups are _window_max inlined.
-    desc = [(i, L[i], U[i], full[i]) + tables.row(i) for i in range(ell - 1, 0, -1)]
-    w_ell, pre_ell = tables.row(ell)[:2]
+    ws, pres, sparses = tables.columns(ell)
+    desc = sorted(
+        zip(range(1, ell), L[1:ell], U[1:ell], full[1:ell], ws[1:ell], pres[1:ell],
+            sparses[1:ell]),
+        key=itemgetter(3), reverse=True,
+    )
+    w_ell, pre_ell = ws[ell], pres[ell]
     root_cut = inside and ell == h
     terms = [0] * ell
     upper = [0] * ell

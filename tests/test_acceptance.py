@@ -6,6 +6,8 @@ exact arithmetic except the two floating comparisons flagged with their
 tolerance.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 from math import gcd, isqrt
@@ -51,6 +53,10 @@ REFERENCE_DENSITY_TABLE = """\
 19,0.9474,0.9474,0.9634,28.6033
 20,0.4000,1.2000,0.9615,30.2033"""
 
+# sha256 over k = 3..200 of json.dumps(max_size(k).to_json_dict(),
+# sort_keys=True) + "\n"
+MAXIMA_DIGEST_TO_200 = "4aae223ef34d71bc7f042a968cd3afbdaa2ced5400ca921d2f92a53ac6bf3e9c"
+
 
 def _report(n: int, what: str, t0: float) -> None:
     print(f"criterion {n}: {what} PASS ({time.time() - t0:.1f}s)")
@@ -70,18 +76,24 @@ def test_01_density_table_rounds_to_reference():
     _report(1, "density table ell 1..20, 4-decimal match", t0)
 
 
-def _check_maxima(ks) -> None:
+def _check_maxima(ks) -> str:
+    """Check max_size over ks; return the sha256 of its JSON lines."""
+    digest = hashlib.sha256()
     for k in ks:
         out = max_size(k)
+        digest.update((json.dumps(out.to_json_dict(), sort_keys=True) + "\n").encode())
         want = pattern_or_table(k).value
         assert out.max_size == want, f"k={k}: search {out.max_size}, closed {want}"
         assert out.witness is not None and len(out.witness.points) == want, k
         assert lattice.check_k_nice(out.witness.points, k) is None, k
+    return digest.hexdigest()
 
 
 def test_02_exact_maxima_match_closed_form_to_200():
     t0 = time.time()
-    _check_maxima(range(3, 201))
+    # pins values, witnesses and per-height provenance: a search change
+    # that keeps N(k) but moves a witness or a per-height result fails here
+    assert _check_maxima(range(3, 201)) == MAXIMA_DIGEST_TO_200
     covered = [k for k in EXCEPTIONS if 3 <= k <= 200]
     assert len(covered) == 45  # every tabulated exception in range exercised
     _report(2, "maximum sizes k = 3..200 with valid witnesses", t0)

@@ -56,6 +56,16 @@ def test_compute_json_witness(capsys):
     assert payload["per_height"][-1]["h"] == 6
 
 
+@pytest.mark.parametrize("k", ["2", "24"])
+def test_compute_witness_without_json_is_usage_error(capsys, k):
+    # the text output is N(k) alone and would drop the witness silently
+    code, out, err = run_cli(capsys, "compute", "--k", k, "--witness")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "--witness" in err
+
+
 def test_compute_single_height(capsys):
     code, out, _ = run_cli(
         capsys, "compute", "--k", "24", "--h", "5", "--baseline", "26"

@@ -1,7 +1,9 @@
 """Branch-and-bound search over admissible row fillings."""
 
 import hashlib
+from itertools import accumulate
 from math import gcd, isqrt
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,56 @@ ROW_DIGESTS = {
 }
 
 
+def reference_row(k, i):
+    """IntervalTables.row built element by element: one gcd per z in
+    [0, k], and each sparse level from the one below it."""
+    pre = list(accumulate((gcd(z, i) == 1 for z in range(k + 1)), initial=0))
+    w = k // i
+    g = list(map(sub, pre[w + 1 :], pre[: k - w + 1]))
+    sparse = [g]
+    span = 1
+    while 2 * span <= len(g):
+        prev = sparse[-1]
+        sparse.append(list(map(max, prev, prev[span:])))
+        span *= 2
+    return w, pre, sparse
+
+
+# 1, primes and prime powers up to 80
+SPECIAL_ROWS = [1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 31, 32, 49, 61, 64, 79]
+
+
 class TestIntervalTables:
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=160),
+            st.integers(min_value=1, max_value=3000),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tiled_rows_match_per_element_build(self, k, data):
+        # row() tiles one period of each table; the reference never does
+        m = min(k, 80)
+        i = data.draw(st.one_of(
+            st.sampled_from([r for r in SPECIAL_ROWS if r <= m]),
+            st.integers(min_value=k // 2 + 1, max_value=m) if k // 2 < m else st.nothing(),
+            st.integers(min_value=1, max_value=m),
+        ))
+        tables = IntervalTables(k)
+        # repr also tells an int from a bool
+        assert repr(tables.row(i)) == repr(reference_row(k, i))
+        ws, pres, sparses = tables.columns(i)
+        assert (ws[i], pres[i], sparses[i]) == tables.row(i)
+
+    def test_small_tiled_rows_match_per_element_build(self):
+        # every row to 30 for every k to 40, so rows i > k too, which have
+        # fewer window starts than one period
+        for k in range(1, 41):
+            tables = IntervalTables(k)
+            for i in range(1, 31):
+                assert repr(tables.row(i)) == repr(reference_row(k, i)), (k, i)
+
     @given(
         st.integers(min_value=1, max_value=30),
         st.data(),
@@ -404,30 +455,31 @@ def test_search_prune_work_stays_pinned(counted_tables):
     # count cap of a stopped pair) passes the plain-scan test, so count
     # the table reads of a fixed sweep: every prefix and sparse-level
     # element the search reads, wherever its window lookups are written.
-    # 126,983 is the count with every prune dropping bounds <= N, each
-    # child handed its pair's row terms and b jumping past both caps.
+    # 126,775 is the count with every prune dropping bounds <= N, each
+    # child handed its pair's row terms and b jumping past both caps,
+    # and both loops walking the rows densest first.
     for k in range(40, 49):
         n_k = pattern_or_table(k).value
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute(k, h, n_k - 1, tables)
-    assert _CountedList.reads <= 126_983
+    assert _CountedList.reads <= 126_775
 
 
 def test_irreducibility_cut_work_stays_pinned(counted_tables):
     # the same for the cut, which skips subtrees that stay inside the strip
-    # |x + t*y| < h: max_size loses 43,352 reads to a cut without its pair
-    # gate, and only a low baseline leaves rows empty often enough that a
-    # cut without its empty-row gate reads more than 520,757
+    # |x + t*y| < h: max_size reads more than 41,160 with a cut without its
+    # pair gate, and only a low baseline leaves rows empty often enough that
+    # a cut without its empty-row gate reads more than 525,490
     for k in range(40, 49):
         max_size(k)
-    assert _CountedList.reads <= 43_352
+    assert _CountedList.reads <= 41_160
     _CountedList.reads = 0
     for k in range(40, 49):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute_with_witness(k, h, 1, tables, irreducible_only=True)
-    assert _CountedList.reads <= 520_757
+    assert _CountedList.reads <= 525_490
 
 
 def test_passed_down_bounds_match_recomputed(monkeypatch):
