@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import BudgetError, CacheError, VerificationError
 from . import bounds as bounds_mod
 from . import lp
-from .closedform import pattern_or_table
+from .closedform import construct_height1, pattern_or_table
 from .heights import sweep, verify_height
 from .oracle import brute_force_max
 from .search import max_size
@@ -165,6 +165,8 @@ def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
     if k < 3:
         # too small for the pipeline; closed form answers directly
         payload = {"k": k, "max_size": pattern_or_table(k).value, "per_height": []}
+        if args.witness:
+            payload["witness"] = [[m, n] for (m, n) in construct_height1(k).points]
     else:
         payload = max_size(k).to_json_dict()
         if not args.witness:

@@ -14,13 +14,14 @@ statements about gamma.
 
 Two independent solution paths, both ending in exact rational certificates:
 
-* the default for every ell: a floating-point solve (HiGHS) of the band
-  relaxation, the link rows plus the rows i * tau_j - j * sigma_i <= 1 with
-  i + j >= ell + 1 (the support of dual_matrix), proposes an active set;
-  the vertex and multipliers are reconstructed by sparse exact elimination
-  (every row has two nonzeros), and the pair is accepted only if primal
-  feasibility over every row of LP(ell), dual feasibility and equality of
-  objectives all verify exactly; any failure raises VerificationError;
+* the default for every ell: a floating-point solve (HiGHS, without
+  presolve, which measured faster; see _solve_guided) of the band relaxation,
+  the link rows plus the rows i * tau_j - j * sigma_i <= 1 with i + j >= ell + 1
+  (the support of dual_matrix), proposes an active set; the vertex and
+  multipliers are reconstructed by fraction-free elimination of integer
+  systems, and the pair is accepted only if primal feasibility over every
+  row of LP(ell), dual feasibility and equality of objectives all verify
+  exactly; any failure raises VerificationError;
 * exact simplex with constraint generation over the O(ell^2) pair
   constraints: method="simplex", the independent oracle the tests compare
   the default path against.
@@ -286,7 +287,11 @@ def _solve_guided(ell: int) -> GammaValue:
     covers the upper rows with i + j <= ell, and the links bound each lower
     row j sigma_i - i tau_j by the upper row j tau_i - i sigma_j.  The
     rebuilt vertex is checked against every row of LP(ell) by verify_gamma
-    all the same, so a float slip raises instead of passing."""
+    all the same, so a float slip raises instead of passing.
+
+    HiGHS runs without presolve, which is faster here: 46 ms instead of 50
+    for the 19 LPs of perfbench's seed-1 gamma items, and 700 ms instead of
+    790 at ell = 256 (2-core host).  Both exact systems are all-int."""
     import numpy as np
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
@@ -305,9 +310,11 @@ def _solve_guided(ell: int) -> GammaValue:
     m = ell + i.size
     a_ub = csr_matrix((data, cols, np.arange(0, 2 * m + 1, 2)), shape=(m, n))
     rhs_f = np.concatenate([np.zeros(ell), np.ones(i.size)])
-    cvec = _objective(ell)
-    c_f = np.array([-float(v) for v in cvec])  # linprog minimizes
-    res = linprog(c_f, A_ub=a_ub, b_ub=rhs_f, bounds=(0, None), method="highs")
+    phi = numtheory.totients(ell)
+    ic = [-v for v in phi[1:]] + phi[1:]  # i * c[idx], i = idx % ell + 1
+    c_f = -np.array(ic) / np.tile(links, 2)  # linprog minimizes
+    res = linprog(c_f, A_ub=a_ub, b_ub=rhs_f, bounds=(0, None), method="highs",
+                  options={"presolve": False})
     if not res.success:
         raise VerificationError(f"gamma({ell}): HiGHS did not solve: {res.message}")
 
@@ -330,19 +337,21 @@ def _solve_guided(ell: int) -> GammaValue:
     sigma, tau = x[:ell], x[ell:]
 
     # Exact multipliers on the guessed support: y^T A = c on the coordinates
-    # where the vertex is nonzero (complementary slackness).
+    # where the vertex is nonzero (complementary slackness), the equation of
+    # column idx scaled by i = idx % ell + 1 so that it reads in ints
     eqs: dict[int, dict[int, int]] = {idx: {} for idx in range(n) if x[idx] != 0}
     for t, r in enumerate(support):
         for idx, a in rows[r][0].items():
             if idx in eqs:
-                eqs[idx][t] = a
-    ysol = solve_rational_system(list(eqs.values()), [cvec[idx] for idx in eqs], len(support))
+                eqs[idx][t] = a * (idx % ell + 1)
+    ysol = solve_rational_system(list(eqs.values()), [ic[idx] for idx in eqs], len(support))
     if ysol is None:
         raise VerificationError(f"gamma({ell}): inconsistent multiplier system")
     multipliers = tuple(
         (_band_key(ell, r), y) for r, y in zip(support, ysol) if y != 0
     )
-    value = sum((y * rows[r][1] for r, y in zip(support, ysol)), ZERO)
+    nums, big = _scaled([y for r, y in zip(support, ysol) if rows[r][1]])
+    value = Fraction(sum(nums), big)
     gv = GammaValue(
         ell=ell,
         gamma=primal_objective(ell, sigma, tau),
@@ -357,8 +366,11 @@ def _solve_guided(ell: int) -> GammaValue:
 # --- public entry -----------------------------------------------------------
 
 def _check_budget(ell: int, method: str) -> None:
-    """BudgetError if ell is past LP_SIZE_BUDGET, or past SIMPLEX_BUDGET for
-    the exact simplex; callers check before solving anything."""
+    """ValueError for an unknown method, else BudgetError if ell is past
+    LP_SIZE_BUDGET, or SIMPLEX_BUDGET for the exact simplex; callers check
+    before solving anything."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if ell > LP_SIZE_BUDGET:
         raise BudgetError(f"ell = {ell} exceeds the LP size budget {LP_SIZE_BUDGET}")
     if method == "simplex" and ell > SIMPLEX_BUDGET:
@@ -381,8 +393,6 @@ def gamma(ell: int, method: str = "guided") -> GammaValue:
     if ell < 1:
         raise ValueError(f"gamma needs ell >= 1, got {ell}")
     _check_budget(ell, method)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     if method == "simplex":
         return _solve_by_generation(ell)
     with _gamma_lock:

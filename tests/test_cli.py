@@ -7,6 +7,7 @@ import pytest
 from torusk import cli, lp, search
 from torusk.cli import main
 from torusk.closedform import pattern_or_table
+from torusk.lattice import check_k_nice
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +45,20 @@ def test_compute_tiny_k(capsys):
     assert code == 0
     assert json.loads(out)["max_size"] == 3
     assert run_cli(capsys, "compute", "--k", "1") == (0, "N(1) = 3\n", "")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_compute_tiny_k_json_witness(capsys, k):
+    # the closed-form shortcut below k = 3 still returns a checked witness
+    code, out, _ = run_cli(capsys, "compute", "--k", str(k), "--json", "--witness")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max_size"] == k + 2
+    assert len(payload["witness"]) == k + 2
+    assert check_k_nice([tuple(p) for p in payload["witness"]], k) is None
+    # without --witness the output is the closed-form payload, as before
+    plain = f'{{"k": {k}, "max_size": {k + 2}, "per_height": []}}\n'
+    assert run_cli(capsys, "compute", "--k", str(k), "--json") == (0, plain, "")
 
 
 def test_compute_json_witness(capsys):

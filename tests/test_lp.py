@@ -362,6 +362,15 @@ def test_gamma_budget(monkeypatch):
         density_table_csv(SIMPLEX_BUDGET + 1, method="simplex")
 
 
+@pytest.mark.parametrize("ell", [5, LP_SIZE_BUDGET + 1])
+def test_unknown_method_named_before_the_budget(ell):
+    # a bad method is a ValueError at any ell, not a BudgetError past it
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        gamma(ell, method="bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        density_table_csv(ell, method="bogus")
+
+
 def test_gamma_monotone_nonincreasing_is_false():
     # gamma is NOT monotone: it dips at 4 and recovers at 5
     assert gamma(5).gamma > gamma(4).gamma
@@ -404,6 +413,25 @@ def test_simplex_request_keeps_guided_memo(monkeypatch):
     assert oracle.gamma == guided.gamma
     assert lp._gamma_memo[7] is guided
     assert gamma(7) is guided
+
+
+def test_guided_exact_systems_are_all_integer(monkeypatch):
+    # both systems _solve_guided hands the solver are int-only: the vertex
+    # rows are, and each multiplier equation is scaled by its column's i
+    real = lp.solve_rational_system
+    calls = []
+
+    def ints_only(rows, rhs, n):
+        calls.append(n)
+        assert all(type(a) is int for row in rows for a in row.values())
+        assert all(type(b) is int for b in rhs)
+        return real(rows, rhs, n)
+
+    monkeypatch.setattr(lp, "solve_rational_system", ints_only)
+    monkeypatch.setattr(lp, "_gamma_memo", {})
+    for ell in range(1, 31):
+        assert gamma(ell).method == "guided"
+    assert len(calls) == 60
 
 
 @pytest.mark.parametrize("ell", [4, 9])

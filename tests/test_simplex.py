@@ -1,6 +1,7 @@
 """Exact tableau simplex and the rational linear-system solver."""
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,11 +92,12 @@ values = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
 @st.composite
-def sparse_systems(draw):
+def sparse_systems(draw, coef=coeffs.map(F), point=values):
     """(rows, x0, n): sparse rows over n unknowns, with some rows linear
-    combinations of earlier ones, and a point x0."""
+    combinations of earlier ones, and a point x0.  Coefficients are drawn
+    from coef and the coordinates of x0 from point."""
     n = draw(st.integers(1, 7))
-    x0 = draw(st.lists(values, min_size=n, max_size=n))
+    x0 = draw(st.lists(point, min_size=n, max_size=n))
     rows = []
     for _ in range(draw(st.integers(1, 8))):
         if rows and draw(st.booleans()):
@@ -105,13 +107,88 @@ def sparse_systems(draw):
             row = {c: a for c, a in row.items() if a}
         else:
             cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
-            row = {c: F(draw(coeffs)) for c in cols}
+            row = {c: draw(coef) for c in cols}
         rows.append(row)
     return rows, x0, n
 
 
 def _apply(row, x):
     return sum((a * x[c] for c, a in row.items()), F(0))
+
+
+def _fraction_solve_rational_system(rows, rhs, n):
+    """Reference oracle: the same elimination, pivot rule and order over
+    Fractions, each pivot row divided by its pivot when stored."""
+    pivots = {}  # col -> (rank, rest, rhs)
+    order = []
+    for entries, b in zip(rows, rhs):
+        row = {c: a for c, a in entries.items() if a}
+        due = [(pivots[c][0], c) for c in row if c in pivots]
+        heapify(due)
+        while due:
+            _, c = heappop(due)
+            f = row.pop(c, None)
+            if f is None:
+                continue  # queued twice; already eliminated
+            _, rest, pb = pivots[c]
+            for c2, a in rest.items():
+                v = row.get(c2, F(0)) - f * a
+                if v:
+                    if c2 not in row and c2 in pivots:
+                        heappush(due, (pivots[c2][0], c2))
+                    row[c2] = v
+                else:
+                    row.pop(c2, None)
+            b -= f * pb
+        if not row:
+            if b:
+                return None  # 0 = nonzero: inconsistent
+            continue
+        p = min(row)
+        inv = F(1) / row.pop(p)
+        pivots[p] = (len(order), {c: a * inv for c, a in row.items()}, b * inv)
+        order.append(p)
+    x = [F(0)] * n
+    for p in reversed(order):
+        _, rest, pb = pivots[p]
+        x[p] = pb - sum(a * x[c] for c, a in rest.items())
+    return x
+
+
+fractional = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+
+
+@given(
+    st.one_of(
+        sparse_systems(),
+        sparse_systems(coef=fractional),
+        sparse_systems(coef=coeffs, point=st.integers(-3, 3)),
+    ),
+    st.integers(0, 2),
+    st.sampled_from(["consistent", "perturbed", "repeated"]),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_integer_elimination_matches_fraction_reference(system, extra, mode, data):
+    # the same particular solution, Fraction for Fraction, free variables
+    # (extra unused unknowns and dependent rows) included, and None exactly
+    # when the reference finds the system inconsistent
+    rows, x0, n = system
+    rhs = [_apply(row, x0) for row in rows]
+    if all(type(a) is int for row in rows for a in row.values()):
+        rhs = [int(b) for b in rhs]  # the int-only variant stays int-only
+    k = data.draw(st.integers(0, len(rows) - 1))
+    if mode == "perturbed":
+        rhs[k] += data.draw(st.integers(-2, 2))
+    elif mode == "repeated":
+        scale = data.draw(coeffs)
+        rows = rows + [{c: scale * a for c, a in rows[k].items()}]
+        rhs = rhs + [scale * rhs[k] + data.draw(st.integers(-2, 2))]
+    want = _fraction_solve_rational_system(rows, rhs, n + extra)
+    got = solve_rational_system(rows, rhs, n + extra)
+    assert got == want
+    if want is not None:
+        assert all(type(v) is Fraction for v in got)
 
 
 @given(sparse_systems())
