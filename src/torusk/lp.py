@@ -40,6 +40,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from math import isqrt, lcm
 from operator import mul
@@ -477,18 +478,30 @@ class DualCertificate:
                 raise VerificationError(f"column {j} sum below phi({j})")
 
 
+@cache
+def _coprime_mask(i: int) -> bytes:
+    """Two periods of the mask of residues coprime to i: byte z is 1 exactly
+    when gcd(z, i) = 1, for 0 <= z < 2i, so any rotation of one period is
+    one slice.  Kept for every i a certificate up to LP_SIZE_BUDGET reads,
+    and shared by all of them."""
+    mask = bytearray(b"\x01") * i
+    for p in numtheory.prime_factors(i):
+        mask[::p] = bytes(i // p)
+    return bytes(mask) * 2
+
+
 def _dual_rows(ell: int) -> list[tuple[int, ...]]:
     """Rows of dual_matrix(ell): entry (i, j) is 1 exactly when
     i + j >= ell + 1 and gcd(i, j) = 1.  Row i's window j = ell+1-i .. ell
     holds i consecutive j, one of each residue mod i, so it is the mask of
     residues coprime to i rotated to start at (ell + 1 - i) mod i."""
+    # past the largest LP a certificate is a one-off (certify-dual --l, one
+    # per process), so its masks are built and dropped, not kept
+    mask = _coprime_mask if ell <= LP_SIZE_BUDGET else _coprime_mask.__wrapped__
     rows = []
     for i in range(1, ell + 1):
-        mask = bytearray(b"\x01") * i
-        for p in numtheory.prime_factors(i):
-            mask[::p] = bytes(i // p)
         s = (ell + 1 - i) % i
-        rows.append(tuple(bytes(ell - i) + mask[s:] + mask[:s]))
+        rows.append(tuple(bytes(ell - i) + mask(i)[s : s + i]))
     return rows
 
 
@@ -558,9 +571,9 @@ def gamma_upper_bound(ell: int) -> Fraction:
         raise ValueError(f"gamma_upper_bound needs ell >= 1, got {ell}")
     if ell <= 3:
         return ONE
-    return 1 - 2 * (Fraction(1, ell - 2) - Fraction(1, ell - 1)) * (
-        Fraction(1, ell - 1) - Fraction(1, ell)
-    )
+    # 1 - 2 (1/(ell-2) - 1/(ell-1)) (1/(ell-1) - 1/ell) = 1 - 2/D
+    big = (ell - 2) * (ell - 1) ** 2 * ell
+    return Fraction(big - 2, big)
 
 
 # --- presentation helpers ---------------------------------------------------

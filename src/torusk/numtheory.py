@@ -48,16 +48,31 @@ def totient(n: int) -> int:
     return result
 
 
+_phi_lock = threading.Lock()
+_phi: list[int] = [0]  # phi(0..len - 1); replaced by a longer sieve, never edited
+
+
 def totients(n: int) -> list[int]:
-    """[0, phi(1), ..., phi(n)] from one sieve; totient is its test oracle."""
+    """[0, phi(1), ..., phi(n)] as a new list, sliced from one sieve kept
+    for the process; totient is its test oracle.  A request past the kept
+    sieve replaces it with one at least twice as long, so an ascending
+    sweep of n sieves O(log n) times."""
+    global _phi
     if n < 0:
         raise ValueError(f"totients needs n >= 0, got {n}")
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # no smaller prime reduced it, so p is prime
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
+    table = _phi
+    if n >= len(table):
+        with _phi_lock:
+            if n >= len(_phi):
+                top = max(n, 2 * (len(_phi) - 1))
+                sieve = list(range(top + 1))
+                for p in range(2, top + 1):
+                    if sieve[p] == p:  # no smaller prime reduced it, so p is prime
+                        for m in range(p, top + 1, p):
+                            sieve[m] -= sieve[m] // p
+                _phi = sieve
+            table = _phi
+    return table[: n + 1]
 
 
 def squarefree_divisors(ell: int) -> list[tuple[int, int]]:
@@ -96,24 +111,19 @@ def alpha(ell: int) -> Fraction:
 
     The count is ell-periodic with a full period contributing exactly
     phi(ell) = rho * ell, so longer windows never beat the ones searched
-    here.  The inner loop is integer-scaled: with rho = pn/pd maximize
-    count * pd - pn * length.
+    here.  Integer-scaled with rho = pn/pd, the excess of a window is the
+    sum of its terms pd * [gcd(z, ell) = 1] - pn, so one maximum-subarray
+    pass finds it: cur is the best sum of a window ending at z.  A full
+    period sums to exactly 0, so best starts at 0.
     """
     if ell < 1:
         raise ValueError(f"alpha needs ell >= 1, got {ell}")
     r = rho(ell)
     pn, pd = r.numerator, r.denominator
-    top = 2 * ell
-    prefix = [0] * (top + 1)
-    for z in range(1, top + 1):
-        prefix[z] = prefix[z - 1] + (1 if gcd(z, ell) == 1 else 0)
-    best = None
-    for a in range(1, top + 1):
-        base = prefix[a - 1]
-        for b in range(a, top + 1):
-            scaled = (prefix[b] - base) * pd - pn * (b - a + 1)
-            if best is None or scaled > best:
-                best = scaled
+    cur = best = 0
+    for z in range(1, 2 * ell + 1):
+        cur = max(cur, 0) + (pd if gcd(z, ell) == 1 else 0) - pn
+        best = max(best, cur)
     return Fraction(best, pd)
 
 

@@ -499,6 +499,14 @@ def test_guided_failure_exits_two_and_simplex_still_answers(capsys, fresh_memo, 
     assert (code, out, err) == (0, "35/36 (0.9722)\n", "")
 
 
+def test_threaded_table_matches_serial(capsys):
+    # pool.map hands the rows back in k order, as the serial list does
+    serial = run_cli(capsys, "table", "--from", "3", "--to", "30")
+    threaded = run_cli(capsys, "table", "--from", "3", "--to", "30", "--threads", "2")
+    assert serial[0] == 0 and len(serial[1].splitlines()) == 29
+    assert threaded == serial
+
+
 def test_table_byte_determinism(capsys):
     _, first, _ = run_cli(capsys, "table", "--from", "3", "--to", "10")
     _, second, _ = run_cli(capsys, "table", "--from", "3", "--to", "10")

@@ -618,6 +618,24 @@ def test_dual_rows_match_gcd_oracle():
         assert tuple(_dual_rows(ell)) == gcd_rows(ell), ell
 
 
+def test_dual_rows_from_shared_masks_match_gcd_oracle():
+    # every kept mask is already built by the largest ell; the smaller ell
+    # read the same masks at other rotations, a larger one builds its own
+    _dual_rows(LP_SIZE_BUDGET)
+    for ell in [LP_SIZE_BUDGET + 44, *range(LP_SIZE_BUDGET, 0, -1)]:
+        assert tuple(_dual_rows(ell)) == gcd_rows(ell), ell
+
+
+def test_gamma_upper_bound_matches_perturbed_formula():
+    for ell in range(1, 4):
+        assert gamma_upper_bound(ell) == 1
+    for ell in range(4, 2001):
+        want = 1 - 2 * (Fraction(1, ell - 2) - Fraction(1, ell - 1)) * (
+            Fraction(1, ell - 1) - Fraction(1, ell)
+        )
+        assert gamma_upper_bound(ell) == want, ell
+
+
 def _rejection(ell: int, edit) -> str:
     rows = [list(row) for row in dual_matrix(ell).matrix]
     edit(rows)

@@ -1,11 +1,14 @@
 """Density constants: rho, alpha, beta and the coprime counting helpers."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusk import numtheory
 from torusk.numtheory import (
     DensityTriple,
     alpha,
@@ -43,6 +46,56 @@ def test_totients_match_totient():
         totients(-1)
 
 
+def test_totients_are_fresh_lists(monkeypatch):
+    # every call slices the process-wide sieve, so a caller that edits its
+    # list cannot change what the next caller reads, for any n up to, at
+    # or past the kept sieve
+    monkeypatch.setattr(numtheory, "_phi", [0])
+    oracle = [0] + [totient(n) for n in range(1, 301)]
+    for n in (300, 40, 0, 300, 301):
+        phi = totients(n)
+        assert phi == [0] + [totient(m) for m in range(1, n + 1)]
+        phi[-1] += 1
+        phi.append(7)
+    for n in (0, 1, 40, 300):
+        assert totients(n) == oracle[: n + 1], n
+
+
+def test_totients_from_racing_threads():
+    # threads that outgrow the kept sieve at the same moment each get a
+    # correct list, and the sieve kept afterwards covers the largest request
+    # (the lock lets it only grow; a shorter sieve swapped in last would not)
+    oracle = [0] + [totient(n) for n in range(1, 401)]
+    wrong = []
+    start = threading.Barrier(4)
+
+    def race(sizes: list[int]) -> None:
+        for n in sizes:
+            start.wait(timeout=10)
+            if totients(n) != oracle[: n + 1]:
+                wrong.append(n)
+
+    saved, interval = numtheory._phi, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(100):
+            numtheory._phi = [0]
+            workers = [
+                threading.Thread(target=race, args=([400 - t - r % 3, 200 - t],))
+                for t in range(4)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+            assert len(numtheory._phi) > 400 - r % 3
+    finally:
+        sys.setswitchinterval(interval)
+        numtheory._phi = saved
+    assert wrong == []
+
+
 def test_squarefree_divisors_moebius():
     divs = dict(squarefree_divisors(12))
     assert divs == {1: 1, 2: -1, 3: -1, 6: 1}
@@ -69,6 +122,30 @@ def test_alpha_values():
     assert alpha(6) == 1
     assert alpha(20) == Fraction(6, 5)
     assert alpha(210) == Fraction(14, 5)
+
+
+def alpha_by_window_scan(ell: int) -> Fraction:
+    """Oracle for alpha: every window 1 <= a <= b <= 2 ell from prefix
+    counts, integer-scaled by rho = pn / pd."""
+    r = rho(ell)
+    pn, pd = r.numerator, r.denominator
+    top = 2 * ell
+    prefix = [0] * (top + 1)
+    for z in range(1, top + 1):
+        prefix[z] = prefix[z - 1] + (1 if gcd(z, ell) == 1 else 0)
+    best = None
+    for a in range(1, top + 1):
+        base = prefix[a - 1]
+        for b in range(a, top + 1):
+            scaled = (prefix[b] - base) * pd - pn * (b - a + 1)
+            if best is None or scaled > best:
+                best = scaled
+    return Fraction(best, pd)
+
+
+def test_alpha_matches_window_scan():
+    for ell in range(1, 301):
+        assert alpha(ell) == alpha_by_window_scan(ell), ell
 
 
 def test_beta_recurrence():
