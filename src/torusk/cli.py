@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import BudgetError, CacheError, VerificationError
@@ -206,6 +205,8 @@ def _run_table(args: argparse.Namespace) -> tuple[str, int]:
         )
     jobs = [(k, not args.no_check) for k in range(lo, hi + 1)]
     if args.threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_table_row, jobs, chunksize=8))
     else:

@@ -464,17 +464,49 @@ class DualCertificate:
         return self._value
 
     def verify(self) -> None:
+        """Check shape, entries >= 0, row i sum <= phi(i) and column j sum
+        >= phi(j), reporting the first failing row, then column; every entry
+        is read again on every call.
+
+        bytes() of a tuple succeeds only when every entry is an int in
+        0..255, so it proves a row non-negative at once; a row it rejects
+        (or one that is not a tuple: bytes() of a buffer such as an
+        array.array copies its raw memory) is scanned with min().  When
+        every row converted, P = sum of the rows read as little-endian
+        base-256 integers holds the column sums c_j in lanes j = 1..ell,
+        carries aside.  A carry takes 256 from one lane and adds 1 to the
+        next, and 256 = 1 (mod 255), so each one lowers the digit sum of P
+        by exactly 255: the ell digits of P are the column sums exactly
+        when P fits in ell lanes and its digits add up to the total of the
+        row sums.  Otherwise the columns are summed one by one."""
         ell = self.ell
         if len(self.matrix) != ell or any(len(r) != ell for r in self.matrix):
             raise VerificationError(f"certificate matrix is not {ell} x {ell}")
         phi = numtheory.totients(ell)
+        packed = 0  # None once some row could not be read as bytes
+        total = 0
         for i, row in enumerate(self.matrix, start=1):
-            if min(row) < 0:
+            if packed is not None and type(row) is tuple:
+                try:
+                    packed += int.from_bytes(bytes(row), "little")
+                except (TypeError, ValueError):
+                    packed = None
+            else:
+                packed = None
+            if packed is None and min(row) < 0:
                 raise VerificationError(f"negative entry in row {i}")
-            if sum(row) > phi[i]:
+            s = sum(row)
+            if s > phi[i]:
                 raise VerificationError(f"row {i} sum exceeds phi({i})")
-        for j, col in enumerate(zip(*self.matrix), start=1):
-            if sum(col) < phi[j]:
+            if packed is not None:
+                total += s
+        columns = map(sum, zip(*self.matrix))
+        if packed is not None and packed.bit_length() <= 8 * ell:
+            digits = packed.to_bytes(ell, "little")
+            if sum(digits) == total:
+                columns = digits
+        for j, c in enumerate(columns, start=1):
+            if c < phi[j]:
                 raise VerificationError(f"column {j} sum below phi({j})")
 
 

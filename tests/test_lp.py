@@ -2,8 +2,10 @@
 
 import json
 import re
+from array import array
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -688,6 +690,161 @@ def test_certificate_rejects_column_sum_below_phi(ell):
             rows[i][j - 1] = 0
 
         assert _rejection(ell, edit) == f"column {j} sum below phi({j})", j
+
+
+def plain_verify(ell, matrix, phi) -> str | None:
+    """Oracle for DualCertificate.verify: the min, sum and zip loop, with
+    the phi table passed in.  Returns the failure message, or None."""
+    if len(matrix) != ell or any(len(r) != ell for r in matrix):
+        return f"certificate matrix is not {ell} x {ell}"
+    for i, row in enumerate(matrix, start=1):
+        if min(row) < 0:
+            return f"negative entry in row {i}"
+        if sum(row) > phi[i]:
+            return f"row {i} sum exceeds phi({i})"
+    for j, col in enumerate(zip(*matrix), start=1):
+        if sum(col) < phi[j]:
+            return f"column {j} sum below phi({j})"
+    return None
+
+
+def verify_message(ell, matrix) -> str | None:
+    try:
+        DualCertificate(ell=ell, matrix=matrix).verify()
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+# Entries bytes() rejects (negative, past 255, or not an int) and bools,
+# which it takes as 0 and 1.
+ODD_ENTRIES = st.sampled_from(
+    [-1, -256, 256, 300, 1000, True, False, Fraction(1), Fraction(1, 2), Fraction(3), 1.0, 0.5]
+)
+
+
+@st.composite
+def odd_rows(draw, rows):
+    """Edit entries, then maybe change the shape or turn a row into a list
+    or an array.array, whose bytes() would be its raw memory."""
+    rows = [list(row) for row in rows]
+    ell = len(rows)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, ell - 1)), draw(st.integers(0, ell - 1))
+        rows[i][j] = draw(ODD_ENTRIES | st.integers(0, 255))
+    kinds = ["tuple", "list", "array b", "array h", "short row", "long row", "extra row", "no row"]
+    kind = draw(st.sampled_from(kinds[:1] * 6 + kinds[1:]))  # mostly all tuples
+    i = draw(st.integers(0, ell - 1))
+    if kind == "short row":
+        rows[i].pop()
+    elif kind == "long row":
+        rows[i].append(0)
+    elif kind == "extra row":
+        rows.insert(i, [0] * ell)
+    elif kind == "no row":
+        del rows[i]
+    out = [tuple(row) for row in rows]
+    if kind == "list":
+        out[i] = rows[i]
+    elif kind.startswith("array") and all(type(x) is int for x in rows[i]):
+        if draw(st.booleans()):  # bytes() of a buffer would read -1 as 255
+            rows[i][draw(st.integers(0, ell - 1))] = -1
+        code = kind[-1]
+        bound = 128 if code == "b" else 32768
+        if all(-bound <= x < bound for x in rows[i]):
+            out[i] = array(code, rows[i])
+    return tuple(out)
+
+
+@st.composite
+def drawn_phi_cases(draw):
+    """A small matrix of bytes-sized entries, so columns run past 255 and
+    carry (the last one past lane ell), with a phi table drawn from its row
+    sums r_i and column sums c_i: mostly r_i <= phi(i) <= c_i where that
+    holds, so whole matrices pass, else one past a bound."""
+    ell = draw(st.integers(1, 8))
+    big = st.integers(0, 255) | st.sampled_from([0, 1, 128, 255])
+    rows = draw(st.lists(st.tuples(*[big] * ell), min_size=ell, max_size=ell))
+    rows = draw(odd_rows(rows))
+    phi = [0]
+    for i in range(ell):
+        r = ceil(sum(rows[i])) if i < len(rows) else 0
+        c = floor(sum(row[i] for row in rows if i < len(row)))
+        if draw(st.integers(0, 9)):
+            phi.append(draw(st.integers(r, max(r, c))))
+        else:
+            phi.append(draw(st.sampled_from([r - 1, c + 1])))
+    return ell, rows, phi
+
+
+@st.composite
+def real_phi_cases(draw):
+    """dual_matrix or perturbed_dual_matrix rows, or rows that put all of
+    phi(i) into one of a few columns (at ell >= 29 those carry), edited."""
+    ell = draw(st.integers(1, 40))
+    phi = numtheory.totients(ell)
+    base = draw(st.sampled_from(["dual", "perturbed", "hot"]))
+    if base == "hot":
+        hot = draw(st.lists(st.integers(0, ell - 1), min_size=1, max_size=3))
+        rows = []
+        for i in range(1, ell + 1):
+            row = [0] * ell
+            row[draw(st.sampled_from(hot))] = phi[i]
+            rows.append(tuple(row))
+    elif base == "perturbed" and ell >= 4:
+        rows = perturbed_dual_matrix(ell).matrix
+    else:
+        rows = dual_matrix(ell).matrix
+    return ell, draw(odd_rows(rows)), phi
+
+
+@given(drawn_phi_cases() | real_phi_cases())
+@settings(max_examples=600, deadline=None)
+def test_verify_matches_plain_loop(case):
+    ell, matrix, phi = case
+    with mock.patch.object(numtheory, "totients", lambda n: list(phi)):
+        assert verify_message(ell, matrix) == plain_verify(ell, matrix, phi)
+
+
+def test_verify_finds_the_column_under_a_carry():
+    # column 1 collects sum phi(1..30) = 278 = 256 + 22: read without the
+    # digit-sum guard, its carry fills column 2's lane and column 3 is blamed
+    phi = numtheory.totients(30)
+    rows = tuple((phi[i],) + (0,) * 29 for i in range(1, 31))
+    assert sum(phi) == 278
+    assert verify_message(30, rows) == plain_verify(30, rows, phi) == "column 2 sum below phi(2)"
+
+
+@pytest.mark.parametrize("ell", [257, 300])
+def test_verify_past_the_lanes(ell):
+    # phi(257) = 256: from here on column sums carry, and the last one
+    # carries past lane ell
+    rows = [list(row) for row in _dual_rows(ell)]
+    assert verify_message(ell, tuple(map(tuple, rows))) is None
+    rows[-2][-1] = 0  # (ell - 1, ell) is coprime, so column ell loses one
+    message = f"column {ell} sum below phi({ell})"
+    assert verify_message(ell, tuple(map(tuple, rows))) == message
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        list,
+        lambda row: array("b", row),
+        lambda row: tuple(map(Fraction, row)),
+        lambda row: tuple(map(float, row)),
+    ],
+    ids=["list", "array", "fraction", "float"],
+)
+def test_verify_reads_rows_bytes_cannot(convert):
+    rows = list(dual_matrix(30).matrix)
+    rows[20] = convert(rows[20])  # a row that cannot be packed still counts in every column
+    assert verify_message(30, tuple(rows)) is None
+    rows = [list(row) for row in dual_matrix(30).matrix]
+    rows[20][0], rows[20][29] = -1, rows[20][29] + 1
+    rows = [tuple(row) for row in rows]
+    rows[20] = convert(rows[20])
+    assert verify_message(30, tuple(rows)) == "negative entry in row 21"
 
 
 def test_certified_dual_returns_the_checked_value():
