@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 from math import isqrt, lcm
-from operator import mul
+from operator import index, mul
 from pathlib import Path
 
 from torusk import numtheory
@@ -290,12 +290,12 @@ def _solve_guided(ell: int) -> GammaValue:
     rebuilt vertex is checked against every row of LP(ell) by verify_gamma
     all the same, so a float slip raises instead of passing.
 
-    HiGHS runs without presolve, which is faster here: 46 ms instead of 50
-    for the 19 LPs of perfbench's seed-1 gamma items, and 700 ms instead of
-    790 at ell = 256 (2-core host).  Both exact systems are all-int."""
+    HiGHS is called through scipy's bundled binding, not scipy's LP wrapper,
+    which costs more than the solve: the 19 seed-1 perfbench gamma LPs take
+    19 ms this way, 24 with presolve, 48 via the wrapper; ell = 256 about
+    690 ms (best runs, 2-core host).  Both exact systems are all-int."""
     import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
+    from scipy.optimize._highspy import _core as highs
 
     n = 2 * ell
     links = np.arange(1, ell + 1)
@@ -309,19 +309,30 @@ def _solve_guided(ell: int) -> GammaValue:
     data = np.concatenate([np.tile([1.0, -1.0], ell),
                            np.column_stack([i, -j]).ravel().astype(float)])
     m = ell + i.size
-    a_ub = csr_matrix((data, cols, np.arange(0, 2 * m + 1, 2)), shape=(m, n))
     rhs_f = np.concatenate([np.zeros(ell), np.ones(i.size)])
     phi = numtheory.totients(ell)
     ic = [-v for v in phi[1:]] + phi[1:]  # i * c[idx], i = idx % ell + 1
-    c_f = -np.array(ic) / np.tile(links, 2)  # linprog minimizes
-    res = linprog(c_f, A_ub=a_ub, b_ub=rhs_f, bounds=(0, None), method="highs",
-                  options={"presolve": False})
-    if not res.success:
-        raise VerificationError(f"gamma({ell}): HiGHS did not solve: {res.message}")
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = n, m
+    model.col_cost_ = -np.array(ic) / np.tile(links, 2)  # HiGHS minimizes
+    model.col_lower_, model.col_upper_ = np.zeros(n), np.full(n, highs.kHighsInf)
+    model.row_lower_, model.row_upper_ = np.full(m, -highs.kHighsInf), rhs_f
+    a = model.a_matrix_
+    a.format_, a.num_col_, a.num_row_ = highs.MatrixFormat.kRowwise, n, m
+    a.start_, a.index_, a.value_ = np.arange(0, 2 * m + 1, 2), cols, data
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("presolve", "off")
+    solver.passModel(model)
+    solver.run()
+    if (status := solver.getModelStatus()) != highs.HighsModelStatus.kOptimal:
+        raise VerificationError(f"gamma({ell}): HiGHS did not solve: "
+                                f"{solver.modelStatusToString(status)}")
+    sol = solver.getSolution()
 
-    support = np.flatnonzero(np.abs(res.ineqlin.marginals) > 1e-9).tolist()
-    tight = np.flatnonzero(np.abs(res.slack) < 1e-7).tolist()
-    pos = set(np.flatnonzero(res.x > 1e-9).tolist())
+    support = np.flatnonzero(np.abs(sol.row_dual) > 1e-9).tolist()
+    tight = np.flatnonzero(np.abs(rhs_f - sol.row_value) < 1e-7).tolist()
+    pos = set(np.flatnonzero(np.array(sol.col_value) > 1e-9).tolist())
     if not support or not pos:
         raise VerificationError(f"gamma({ell}): HiGHS gave an empty support")
     rows = {r: _row_entries(ell, _band_key(ell, r)) for r in {*support, *tight}}
@@ -366,6 +377,13 @@ def _solve_guided(ell: int) -> GammaValue:
 
 # --- public entry -----------------------------------------------------------
 
+def _integer_ell(name: str, ell) -> int:
+    """ell as a plain int; TypeError naming the entry for a bool or a non-int."""
+    if not isinstance(ell, bool) and hasattr(type(ell), "__index__"):
+        return index(ell)
+    raise TypeError(f"{name} needs an integer ell, got {ell!r}")
+
+
 def _check_budget(ell: int, method: str) -> None:
     """ValueError for an unknown method, else BudgetError if ell is past
     LP_SIZE_BUDGET, or SIMPLEX_BUDGET for the exact simplex; callers check
@@ -391,6 +409,7 @@ def gamma(ell: int, method: str = "guided") -> GammaValue:
     read from or written to the memo, so it stays an independent oracle.
     BudgetError above LP_SIZE_BUDGET, or above SIMPLEX_BUDGET for "simplex".
     """
+    ell = _integer_ell("gamma", ell)
     if ell < 1:
         raise ValueError(f"gamma needs ell >= 1, got {ell}")
     _check_budget(ell, method)
@@ -577,7 +596,7 @@ def dual_matrix(ell: int) -> DualCertificate:
     Each row i then covers a window of i consecutive j's, so row and column
     sums are exactly phi, and the value is exactly 1.  The rows come from
     _dual_rows; the certificate is verified and its value checked here."""
-    return _certified_dual(ell, perturbed=False)
+    return _certified_dual(_integer_ell("dual_matrix", ell), perturbed=False)
 
 
 def perturbed_dual_matrix(ell: int) -> DualCertificate:
@@ -593,12 +612,13 @@ def perturbed_dual_matrix(ell: int) -> DualCertificate:
     certificate is built and verified; only its last three rows are copied
     and bumped.
     """
-    return _certified_dual(ell, perturbed=True)
+    return _certified_dual(_integer_ell("perturbed_dual_matrix", ell), perturbed=True)
 
 
 def gamma_upper_bound(ell: int) -> Fraction:
     """Certificate-only upper bound for gamma(ell): 1 for ell <= 3, the
     perturbed value below 1 for ell >= 4.  No LP solve involved."""
+    ell = _integer_ell("gamma_upper_bound", ell)
     if ell < 1:
         raise ValueError(f"gamma_upper_bound needs ell >= 1, got {ell}")
     if ell <= 3:

@@ -490,17 +490,63 @@ def test_guided_names_the_failed_exact_system(monkeypatch, failing_call, step):
 
 
 def test_guided_reports_a_failed_highs_solve(monkeypatch):
-    import scipy.optimize
+    """A real HiGHS run stopped at zero simplex iterations ends in a status
+    other than optimal, which _solve_guided must report and not memoize."""
+    from scipy.optimize._highspy import _core
 
-    class Failed:
-        success = False
-        message = "iteration limit reached"
+    class Limited(_core._Highs):
+        def passModel(self, model):
+            self.setOptionValue("simplex_iteration_limit", 0)
+            return super().passModel(model)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: Failed())
+    monkeypatch.setattr(_core, "_Highs", Limited)
     monkeypatch.setattr(lp, "_gamma_memo", {})
-    with pytest.raises(VerificationError, match=r"gamma\(5\): HiGHS did not solve"):
+    with pytest.raises(VerificationError,
+                       match=r"^gamma\(5\): HiGHS did not solve: Iteration limit reached$"):
         gamma(5)
     assert lp._gamma_memo == {}
+
+
+def test_highs_binding_has_what_the_guided_path_reads():
+    """_solve_guided calls HiGHS through the binding scipy ships; a scipy
+    release that moves or renames any of these fails here, by name."""
+    from scipy.optimize._highspy import _core
+
+    for name in ("HighsLp", "MatrixFormat", "_Highs", "HighsModelStatus", "kHighsInf"):
+        assert hasattr(_core, name), f"scipy.optimize._highspy._core.{name} is gone"
+    assert hasattr(_core.MatrixFormat, "kRowwise"), "MatrixFormat.kRowwise is gone"
+    assert hasattr(_core.HighsModelStatus, "kOptimal"), "HighsModelStatus.kOptimal is gone"
+
+
+@pytest.mark.parametrize("ell", [5, 40])
+def test_guided_solve_writes_nothing(monkeypatch, capfd, ell):
+    """HiGHS logs to the C-level stdout unless told not to, which would
+    corrupt --json output; a cold solve must leave fds 1 and 2 untouched."""
+    monkeypatch.setattr(lp, "_gamma_memo", {})
+    capfd.readouterr()
+    gamma(ell)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "entry", [gamma, dual_matrix, perturbed_dual_matrix, gamma_upper_bound],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("bad", [5.0, True, "5", None], ids=repr)
+def test_ell_must_be_an_integer(entry, bad):
+    want = f"{entry.__name__} needs an integer ell, got {bad!r}"
+    with pytest.raises(TypeError, match=re.escape(want)):
+        entry(bad)
+
+
+def test_ell_accepts_numpy_integers():
+    import numpy as np
+
+    assert gamma(np.int64(5)) is gamma(5)
+    cert = dual_matrix(np.int32(6))
+    assert cert.ell == 6 and type(cert.ell) is int
+    assert perturbed_dual_matrix(np.int64(7)).value == Fraction(629, 630)
+    assert gamma_upper_bound(np.int16(7)) == Fraction(629, 630)
 
 
 def test_dual_matrix_row_and_column_sums():
