@@ -242,7 +242,7 @@ def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
     if ell > CERTIFY_BUDGET and not args.long_mode:
         raise BudgetError(f"certify-dual --l {ell} exceeds {CERTIFY_BUDGET}; pass --long")
     # the constructor verifies the matrix and checks its value, which is kept
-    cert = lp._certified_dual(ell, args.perturbed)
+    cert = (lp.perturbed_dual_matrix if args.perturbed else lp.dual_matrix)(ell)
     value = cert.value
     if args.json:
         payload = {
@@ -338,7 +338,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"usage error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1
     if cache_dir is not None:
         _save_gamma_cache(cache_dir)
     return code

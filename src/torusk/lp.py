@@ -714,7 +714,7 @@ def load_gamma_cache(path: str | Path) -> dict[int, GammaValue]:
     for n, line in enumerate(lines[1:-1], start=2):
         try:
             rec = json.loads(line)
-            ell = int(rec["ell"])
+            ell = _integer_ell("load_gamma_cache", rec["ell"])  # no float, str or bool
             g = Fraction(rec["gamma"])
             multipliers = tuple((tuple(key), Fraction(y)) for key, y in rec["dual"])
             gv = GammaValue(

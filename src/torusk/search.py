@@ -41,8 +41,8 @@ loop stops and how far b jumps.
 
 The row tables are periodic: gcd(z + i, i) = gcd(z, i), so row i's
 coprime indicator, its window counts and every level of its sparse
-table repeat every i.  IntervalTables.row builds one period of each and
-tiles it to full length by list repetition.
+table repeat every i.  IntervalTables.columns builds one period of each
+and tiles it to full length by list repetition.
 
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
@@ -68,91 +68,54 @@ from .closedform import best_low_height_set, height_le3_max
 from .heights import verify_height
 from .lattice import NiceSet
 
-# (w, prefix, sparse) for one row; see IntervalTables.row
-Row = tuple[int, list[int], list[list[int]]]
-
 
 class IntervalTables:
-    """Per-row coprime counts over [0, k] and window-capped maxima.
+    """Per-row coprime tables over [0, k], kept as three columns by row.
 
-    count(i, a, b) is the number of z in [a, b] with gcd(z, i) = 1.
-    window_max(i, a, b) is the maximum of count(i, a', b') over
-    subintervals [a', b'] of [a, b] with (b' - a') * i <= k; it upper
-    bounds the contribution of row i to any k-nice set confined to
-    [a, b].  Tables are built lazily per row and hold for i >= 1 and
-    0 <= a <= b <= k.  count and window_max validate their arguments;
-    the search reads the raw tables through row() and columns().
-
-    Row i's coprime indicator repeats every i, and so do its window
-    counts and every sparse level, so row() builds one period of each
-    and tiles it to full length.  columns(n) keeps the w, prefix and
-    sparse entries of rows 1..n as three lists indexed by row, which a
-    search node slices next to its own interval bounds.
+    Row i's window maximum over [a, b] is the largest number of z coprime
+    to i in a subinterval [a', b'] with (b' - a') * i <= k; it bounds row
+    i's contribution to any k-nice set confined to [a, b].  Row i's
+    entries are w = k // i, the widest admissible window minus one;
+    prefix, where prefix[z] counts the coprimes to i in [0, z) for z in
+    0..k+1; and sparse, where sparse[j][t] is the largest count over a
+    window [a', a' + w] with a' in [t, t + 2**j), so a range maximum of
+    window starts is two reads (_window_max).  Each table repeats every i,
+    so a row is built from one period and tiled to full length; a level
+    whose span 2**j is at least i holds a period's largest count at every t.
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         self.k = k
-        self._rows: dict[int, Row] = {}
         # index 0 is padding, so column[i] is row i's entry
         self._columns: tuple[list, list, list] = ([0], [[]], [[]])
 
-    def row(self, i: int) -> Row:
-        """(w, prefix, sparse) for row i >= 1, unchecked.
-
-        w = k // i is the widest admissible window minus one; prefix[z] is
-        the number of coprimes to i in [0, z), for z in 0..k+1; sparse[j][t]
-        is the largest count over a window [a', a' + w] with a' in
-        [t, t + 2**j), so a range maximum of window starts is two reads.
-        A level whose span 2**j is at least i holds the largest window
-        count of a period at every t.
-        """
-        entry = self._rows.get(i)
-        if entry is None:
-            k = self.k
+    def columns(self, n: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
+        """The (w, prefix, sparse) column lists, built out to row n; a search
+        node slices them next to its own interval bounds."""
+        ws, pres, sparses = columns = self._columns
+        k = self.k
+        for i in range(len(ws), n + 1):
             w = k // i
-            n = k - w + 1  # window starts 0..k-w
+            starts = k - w + 1  # window starts 0..k-w
             mask = [gcd(z, i) == 1 for z in range(i)]
             pre = list(accumulate(_tiled(mask, k + 1), initial=0))
-            # one period of window counts, or all n of them when n < i (only
-            # for i > k), where no kept entry of a level wraps around
+            # one period of window counts, or all of them when there are
+            # fewer (only for i > k), where no kept entry of a level wraps
             level = list(map(sub, pre[w + 1 : w + 1 + i], pre[:i]))
-            sparse = [_tiled(level, n)]
+            sparse = [_tiled(level, starts)]
             span = 1
-            while 2 * span <= n:
+            while 2 * span <= starts:
                 # windows wrap around the period; once 2 * span >= i every
                 # entry is the period's maximum and later steps keep it
                 level = list(map(max, level, level[span:] + level[:span]))
                 span *= 2
-                sparse.append(_tiled(level, n - span + 1))
-            entry = self._rows[i] = (w, pre, sparse)
-        return entry
-
-    def columns(self, n: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
-        """(w, prefix, sparse) column lists covering rows 0..n, from row()."""
-        ws, pres, sparses = columns = self._columns
-        for i in range(len(ws), n + 1):
-            w, pre, sparse = self.row(i)
+                sparse.append(_tiled(level, starts - span + 1))
             ws.append(w)
             pres.append(pre)
             sparses.append(sparse)
         return columns
-
-    def _check(self, i: int, a: int, b: int) -> None:
-        if i < 1:
-            raise ValueError(f"row index must be >= 1, got {i}")
-        if not (0 <= a <= b <= self.k):
-            raise ValueError(f"bad interval [{a}, {b}] for k = {self.k}")
-
-    def count(self, i: int, a: int, b: int) -> int:
-        self._check(i, a, b)
-        pre = self.row(i)[1]
-        return pre[b + 1] - pre[a]
-
-    def window_max(self, i: int, a: int, b: int) -> int:
-        self._check(i, a, b)
-        return _window_max(self.row(i), a, b)
 
 
 def _tiled(period: list, length: int) -> list:
@@ -161,9 +124,8 @@ def _tiled(period: list, length: int) -> list:
     return period * q + period[:r]
 
 
-def _window_max(row: Row, lo: int, hi: int) -> int:
-    """window_max over [lo, hi] for a row returned by IntervalTables.row."""
-    w, pre, sparse = row
+def _window_max(w: int, pre: list[int], sparse: list[list[int]], lo: int, hi: int) -> int:
+    """Row window maximum over [lo, hi] from the row's column entries."""
     if hi - lo <= w:
         # the whole interval is admissible and dominates subintervals
         return pre[hi + 1] - pre[lo]
@@ -385,7 +347,8 @@ def compute_with_witness(
     choices: list[tuple[int, int, int]] = []
     lower = [0, 0] + [1] * (h - 1)
     upper = [0] + [k] * h
-    full = [0] + [_window_max(tables.row(i), lower[i], k) for i in range(1, h)]
+    ws, pres, sparses = tables.columns(h)
+    full = [0] + [_window_max(ws[i], pres[i], sparses[i], lower[i], k) for i in range(1, h)]
     result = _backtrack(
         k, h, N, h, 0, lower, upper, full, tables, choices, best, 0, irreducible_only
     )

@@ -382,6 +382,14 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "N(5) = 8\n"
 
 
+def test_out_to_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.txt"
+    code, out, err = run_cli(capsys, "lp-gamma", "--l", "5", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"usage error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_cache_write_and_corruption_recovery(tmp_path, capsys, fresh_memo):
     cache = tmp_path / "cache"
     code, _, _ = run_cli(

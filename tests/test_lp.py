@@ -969,6 +969,10 @@ def _set(field, value):
         _set("gamma", "1/0"),
         _set("dual", [[7, "1"]]),
         _set("dual", [["pair", 1, 1]]),
+        _set("ell", 4.0),
+        _set("ell", "4"),
+        _set("ell", 4.9),
+        _set("ell", True),
         lambda records: records.__setitem__(0, [4]),
     ],
 )

@@ -20,8 +20,27 @@ def naive_count(i, a, b):
     return sum(1 for z in range(a, b + 1) if gcd(z, i) == 1)
 
 
-# sha256 of repr([tables.row(i) for i in range(1, 31)]), recorded from the
-# per-element row build; repr also tells an int from a bool
+def table_row(tables, i):
+    """Row i's (w, prefix, sparse) entries from the column store."""
+    ws, pres, sparses = tables.columns(i)
+    return ws[i], pres[i], sparses[i]
+
+
+def table_count(tables, i, a, b):
+    """Coprimes to i in [a, b], read from row i's prefix column."""
+    assert i >= 1 and 0 <= a <= b <= tables.k, (i, a, b)
+    pre = table_row(tables, i)[1]
+    return pre[b + 1] - pre[a]
+
+
+def table_window_max(tables, i, a, b):
+    """Row i's window maximum over [a, b], read from its columns."""
+    assert i >= 1 and 0 <= a <= b <= tables.k, (i, a, b)
+    return search._window_max(*table_row(tables, i), a, b)
+
+
+# sha256 of repr([table_row(tables, i) for i in range(1, 31)]), recorded
+# from the per-element row build; repr also tells an int from a bool
 ROW_DIGESTS = {
     3: "fabf923b2dc61bf559044bcbcfb772a95ca59851d8d4a0375dd4e0aee03e5ac2",
     7: "e8225c3415883925709c02ba9da8392246facfc46fdd0558f99bc853264cf7e8",
@@ -32,8 +51,8 @@ ROW_DIGESTS = {
 
 
 def reference_row(k, i):
-    """IntervalTables.row built element by element: one gcd per z in
-    [0, k], and each sparse level from the one below it."""
+    """A row of IntervalTables.columns built element by element: one gcd
+    per z in [0, k], and each sparse level from the one below it."""
     pre = list(accumulate((gcd(z, i) == 1 for z in range(k + 1)), initial=0))
     w = k // i
     g = list(map(sub, pre[w + 1 :], pre[: k - w + 1]))
@@ -60,7 +79,7 @@ class TestIntervalTables:
     )
     @settings(max_examples=80, deadline=None)
     def test_tiled_rows_match_per_element_build(self, k, data):
-        # row() tiles one period of each table; the reference never does
+        # columns() tiles one period of each table; the reference never does
         m = min(k, 80)
         i = data.draw(st.one_of(
             st.sampled_from([r for r in SPECIAL_ROWS if r <= m]),
@@ -69,9 +88,7 @@ class TestIntervalTables:
         ))
         tables = IntervalTables(k)
         # repr also tells an int from a bool
-        assert repr(tables.row(i)) == repr(reference_row(k, i))
-        ws, pres, sparses = tables.columns(i)
-        assert (ws[i], pres[i], sparses[i]) == tables.row(i)
+        assert repr(table_row(tables, i)) == repr(reference_row(k, i))
 
     def test_small_tiled_rows_match_per_element_build(self):
         # every row to 30 for every k to 40, so rows i > k too, which have
@@ -79,7 +96,7 @@ class TestIntervalTables:
         for k in range(1, 41):
             tables = IntervalTables(k)
             for i in range(1, 31):
-                assert repr(tables.row(i)) == repr(reference_row(k, i)), (k, i)
+                assert repr(table_row(tables, i)) == repr(reference_row(k, i)), (k, i)
 
     @given(
         st.integers(min_value=1, max_value=30),
@@ -91,7 +108,7 @@ class TestIntervalTables:
         a = data.draw(st.integers(min_value=0, max_value=k))
         b = data.draw(st.integers(min_value=a, max_value=k))
         tables = IntervalTables(k)
-        assert tables.count(i, a, b) == naive_count(i, a, b)
+        assert table_count(tables, i, a, b) == naive_count(i, a, b)
 
     @given(
         st.integers(min_value=2, max_value=24),
@@ -108,26 +125,13 @@ class TestIntervalTables:
             naive_count(i, lo, min(lo + w, b))
             for lo in range(a, b + 1)
         )
-        assert tables.window_max(i, a, b) == want
+        assert table_window_max(tables, i, a, b) == want
 
     @pytest.mark.parametrize("k", sorted(ROW_DIGESTS))
     def test_rows_match_recorded_tables(self, k):
         tables = IntervalTables(k)
-        rows = repr([tables.row(i) for i in range(1, 31)])
+        rows = repr([table_row(tables, i) for i in range(1, 31)])
         assert hashlib.sha256(rows.encode()).hexdigest() == ROW_DIGESTS[k]
-
-    def test_count_bounds_checked(self):
-        tables = IntervalTables(10)
-        with pytest.raises(ValueError):
-            tables.count(2, -1, 5)
-        with pytest.raises(ValueError):
-            tables.count(2, 3, 11)
-        with pytest.raises(ValueError):
-            tables.count(0, 0, 5)
-        with pytest.raises(ValueError):
-            tables.window_max(0, 0, 5)
-        with pytest.raises(ValueError):
-            tables.window_max(-2, 0, 10)
 
 
 def test_compute_improves_over_weak_baseline():
@@ -265,7 +269,8 @@ def test_canonical_box_holds_every_maximal_set(q):
 def _reference_backtrack(k, h, N, ell, n_gt, L, U, tables, choices, best, keep=None):
     """The recursion of search._backtrack as a plain per-pair scan.
 
-    Every (a, b) pair is scored through the validated IntervalTables API,
+    Every (a, b) pair is scored through the checked table_count and
+    table_window_max,
     row i's interval is cut by both endpoints of row ell on both sides,
     and nothing is pruned but a pair (or an empty row) whose bound is <= N.
     With keep, only complete sets whose choices pass keep count.
@@ -278,7 +283,7 @@ def _reference_backtrack(k, h, N, ell, n_gt, L, U, tables, choices, best, keep=N
 
     def score(lower, upper):
         return sum(
-            tables.window_max(i, lower[i], upper[i])
+            table_window_max(tables, i, lower[i], upper[i])
             for i in range(1, ell)
             if lower[i] <= upper[i]
         )
@@ -299,7 +304,7 @@ def _reference_backtrack(k, h, N, ell, n_gt, L, U, tables, choices, best, keep=N
                 min(U[i], (a * i + k) // ell, (b * i + k) // ell)
                 for i in range(1, ell)
             ]
-            row_count = tables.count(ell, a, b)
+            row_count = table_count(tables, ell, a, b)
             if n_gt + 1 + row_count + score(lower, upper) <= N:
                 continue
             choices.append((ell, a, b))
@@ -436,15 +441,17 @@ class _CountedList(list):
 @pytest.fixture
 def counted_tables(monkeypatch):
     """Count every prefix and sparse-level element the search reads."""
-    real = IntervalTables.row
+    real = IntervalTables.columns
 
-    def counted_row(self, i):
-        w, pre, sparse = real(self, i)
-        if type(pre) is not _CountedList:
-            self._rows[i] = (w, _CountedList(pre), [_CountedList(s) for s in sparse])
-        return self._rows[i]
+    def counted_columns(self, n):
+        _, pres, sparses = columns = real(self, n)
+        for i in range(1, len(pres)):
+            if type(pres[i]) is not _CountedList:
+                pres[i] = _CountedList(pres[i])
+                sparses[i] = [_CountedList(s) for s in sparses[i]]
+        return columns
 
-    monkeypatch.setattr(IntervalTables, "row", counted_row)
+    monkeypatch.setattr(IntervalTables, "columns", counted_columns)
     monkeypatch.setattr(_CountedList, "reads", 0)
 
 
@@ -463,7 +470,7 @@ def test_search_prune_work_stays_pinned(counted_tables):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute(k, h, n_k - 1, tables)
-    assert _CountedList.reads <= 126_775
+    assert 0 < _CountedList.reads <= 126_775
 
 
 def test_irreducibility_cut_work_stays_pinned(counted_tables):
@@ -473,13 +480,13 @@ def test_irreducibility_cut_work_stays_pinned(counted_tables):
     # a cut without its empty-row gate reads more than 525,490
     for k in range(40, 49):
         max_size(k)
-    assert _CountedList.reads <= 41_160
+    assert 0 < _CountedList.reads <= 41_160
     _CountedList.reads = 0
     for k in range(40, 49):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute_with_witness(k, h, 1, tables, irreducible_only=True)
-    assert _CountedList.reads <= 525_490
+    assert 0 < _CountedList.reads <= 525_490
 
 
 def test_passed_down_bounds_match_recomputed(monkeypatch):
@@ -493,9 +500,7 @@ def test_passed_down_bounds_match_recomputed(monkeypatch):
         nonlocal nodes
         nodes += 1
         for i in range(1, ell):
-            want = (
-                search._window_max(tables.row(i), L[i], U[i]) if L[i] <= U[i] else 0
-            )
+            want = table_window_max(tables, i, L[i], U[i]) if L[i] <= U[i] else 0
             assert full[i] == want, (k, h, ell, i)
         return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside)
 
