@@ -14,8 +14,8 @@ statements about gamma.
 
 Two independent solution paths, both ending in exact rational certificates:
 
-* the default for every ell: a floating-point solve (HiGHS, without
-  presolve, which measured faster; see _solve_guided) of the band relaxation,
+* the default for every ell: a floating-point solve (HiGHS's primal simplex
+  on the transpose, without presolve; see _solve_guided) of the band relaxation,
   the link rows plus the rows i * tau_j - j * sigma_i <= 1 with i + j >= ell + 1
   (the support of dual_matrix), proposes an active set; the vertex and
   multipliers are reconstructed by fraction-free elimination of integer
@@ -290,10 +290,10 @@ def _solve_guided(ell: int) -> GammaValue:
     rebuilt vertex is checked against every row of LP(ell) by verify_gamma
     all the same, so a float slip raises instead of passing.
 
-    HiGHS is called through scipy's bundled binding, not scipy's LP wrapper,
-    which costs more than the solve: the 19 seed-1 perfbench gamma LPs take
-    19 ms this way, 24 with presolve, 48 via the wrapper; ell = 256 about
-    690 ms (best runs, 2-core host).  Both exact systems are all-int."""
+    HiGHS (scipy's bundled binding) runs the primal simplex on the transposed
+    band LP, min rhs.y s.t. A^T y >= c, y >= 0: 2 ell basis entries, not one
+    per band row.  Its column values are the multipliers, its zero reduced
+    costs the tight rows and its positive row duals the positive coordinates."""
     import numpy as np
     from scipy.optimize._highspy import _core as highs
 
@@ -302,8 +302,7 @@ def _solve_guided(ell: int) -> GammaValue:
     # band pair p is (i[p], j[p]): i copies of each i, with j = ell+1-i .. ell
     i = np.repeat(links, links)
     j = ell + 1 - i + np.arange(i.size) - i * (i - 1) // 2
-    # every row has exactly two entries, so row r owns data[2r:2r + 2];
-    # the order matches _row_entries
+    # band row r, column r of the transposed LP, owns data[2r:2r + 2] in _row_entries' order
     cols = np.concatenate([np.column_stack([links - 1, ell + links - 1]).ravel(),
                            np.column_stack([ell + j - 1, i - 1]).ravel()])
     data = np.concatenate([np.tile([1.0, -1.0], ell),
@@ -313,16 +312,17 @@ def _solve_guided(ell: int) -> GammaValue:
     phi = numtheory.totients(ell)
     ic = [-v for v in phi[1:]] + phi[1:]  # i * c[idx], i = idx % ell + 1
     model = highs.HighsLp()
-    model.num_col_, model.num_row_ = n, m
-    model.col_cost_ = -np.array(ic) / np.tile(links, 2)  # HiGHS minimizes
-    model.col_lower_, model.col_upper_ = np.zeros(n), np.full(n, highs.kHighsInf)
-    model.row_lower_, model.row_upper_ = np.full(m, -highs.kHighsInf), rhs_f
+    model.num_col_, model.num_row_, model.col_cost_ = m, n, rhs_f
+    model.col_lower_, model.col_upper_ = np.zeros(m), np.full(m, highs.kHighsInf)
+    model.row_lower_ = np.array(ic) / np.tile(links, 2)  # A^T y >= c
+    model.row_upper_ = np.full(n, highs.kHighsInf)
     a = model.a_matrix_
-    a.format_, a.num_col_, a.num_row_ = highs.MatrixFormat.kRowwise, n, m
+    a.format_, a.num_col_, a.num_row_ = highs.MatrixFormat.kColwise, m, n
     a.start_, a.index_, a.value_ = np.arange(0, 2 * m + 1, 2), cols, data
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
     solver.setOptionValue("presolve", "off")
+    solver.setOptionValue("simplex_strategy", 4)  # primal simplex
     solver.passModel(model)
     solver.run()
     if (status := solver.getModelStatus()) != highs.HighsModelStatus.kOptimal:
@@ -330,9 +330,9 @@ def _solve_guided(ell: int) -> GammaValue:
                                 f"{solver.modelStatusToString(status)}")
     sol = solver.getSolution()
 
-    support = np.flatnonzero(np.abs(sol.row_dual) > 1e-9).tolist()
-    tight = np.flatnonzero(np.abs(rhs_f - sol.row_value) < 1e-7).tolist()
-    pos = set(np.flatnonzero(np.array(sol.col_value) > 1e-9).tolist())
+    support = np.flatnonzero(np.array(sol.col_value) > 1e-9).tolist()
+    tight = np.flatnonzero(np.abs(sol.col_dual) < 1e-7).tolist()
+    pos = set(np.flatnonzero(np.array(sol.row_dual) > 1e-9).tolist())
     if not support or not pos:
         raise VerificationError(f"gamma({ell}): HiGHS gave an empty support")
     rows = {r: _row_entries(ell, _band_key(ell, r)) for r in {*support, *tight}}
@@ -697,9 +697,9 @@ def save_gamma_cache(path: str | Path, values: dict[int, GammaValue]) -> None:
 
 def load_gamma_cache(path: str | Path) -> dict[int, GammaValue]:
     """Load a cache written by save_gamma_cache and re-verify every record.
-    CacheError on an unreadable, malformed or checksum-failing file or a
-    repeated ell; VerificationError if a stored witness does not certify
-    its value."""
+    CacheError on an unreadable, malformed or checksum-failing file, a
+    repeated ell or one past LP_SIZE_BUDGET (refused before its O(ell^2)
+    check); VerificationError if a stored witness does not certify its value."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -729,7 +729,7 @@ def load_gamma_cache(path: str | Path) -> dict[int, GammaValue]:
             )
         except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise CacheError(f"{path}: bad record on line {n}") from exc
-        if ell < 1 or ell in out or gv.method not in METHODS:
+        if not 1 <= ell <= LP_SIZE_BUDGET or ell in out or gv.method not in METHODS:
             raise CacheError(f"{path}: bad record on line {n}")
         verify_gamma(gv)
         out[ell] = gv

@@ -379,7 +379,9 @@ def test_gamma_monotone_nonincreasing_is_false():
 
 
 def test_guided_matches_simplex():
-    for ell in (*range(1, 13), 26):
+    # 13 is the smallest ell where the two paths land on different optimal
+    # vertices, so both witnesses differ and must still verify
+    for ell in (*range(1, 14), 26):
         a = _solve_by_generation(ell)
         b = _solve_guided(ell)
         assert a.gamma == b.gamma, ell
@@ -395,7 +397,7 @@ def test_guided_never_falls_back(monkeypatch):
 
 @pytest.mark.slow
 def test_guided_never_falls_back_over_the_budget(monkeypatch):
-    # opt-in (pytest -m slow): a few minutes on a 2-core host
+    # opt-in (pytest -m slow): about a minute on a 2-core host
     monkeypatch.setattr(lp, "_gamma_memo", {})
     for ell in range(1, LP_SIZE_BUDGET + 1):
         gv = gamma(ell)
@@ -514,8 +516,32 @@ def test_highs_binding_has_what_the_guided_path_reads():
 
     for name in ("HighsLp", "MatrixFormat", "_Highs", "HighsModelStatus", "kHighsInf"):
         assert hasattr(_core, name), f"scipy.optimize._highspy._core.{name} is gone"
-    assert hasattr(_core.MatrixFormat, "kRowwise"), "MatrixFormat.kRowwise is gone"
+    assert hasattr(_core.MatrixFormat, "kColwise"), "MatrixFormat.kColwise is gone"
     assert hasattr(_core.HighsModelStatus, "kOptimal"), "HighsModelStatus.kOptimal is gone"
+    solver = _core._Highs()
+    assert solver.setOptionValue("simplex_strategy", 4) == _core.HighsStatus.kOk, \
+        "HiGHS no longer takes simplex_strategy = 4 (primal simplex)"
+
+
+def test_guided_solve_hands_highs_the_transposed_band():
+    """HiGHS sees one row per sigma_i / tau_i and one column per band row
+    (ell links and ell (ell + 1) / 2 pairs), stored column-wise."""
+    from scipy.optimize._highspy import _core
+
+    seen = []
+
+    class Spy(_core._Highs):
+        def passModel(self, model):
+            a = model.a_matrix_
+            seen.append((model.num_row_, model.num_col_, a.format_, a.num_row_, a.num_col_))
+            return super().passModel(model)
+
+    with mock.patch.object(_core, "_Highs", Spy):
+        for ell in (1, 2, 7, 30):
+            _solve_guided(ell)
+    colwise = _core.MatrixFormat.kColwise
+    assert seen == [(2 * ell, ell + ell * (ell + 1) // 2, colwise,
+                     2 * ell, ell + ell * (ell + 1) // 2) for ell in (1, 2, 7, 30)]
 
 
 @pytest.mark.parametrize("ell", [5, 40])
@@ -998,6 +1024,23 @@ def test_cache_resigned_forgery_fails_verification(tmp_path, edit):
     resign(path, edit)
     with pytest.raises(VerificationError):
         load_gamma_cache(path)
+
+
+def test_cache_refuses_an_ell_past_the_budget_before_verifying(tmp_path, monkeypatch):
+    """A re-signed record with a huge ell would cost an O(ell^2) primal
+    check; the loader refuses it by its ell alone."""
+    path = tmp_path / "gamma.txt"
+    save_gamma_cache(path, {4: gamma(4)})
+    big = LP_SIZE_BUDGET + 1
+
+    def huge(records):
+        records[0].update(ell=big, sigma=["0"] * big, tau=["1"] * big)
+
+    resign(path, huge)
+    monkeypatch.setattr(lp, "verify_gamma", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(CacheError, match="bad record on line 2"):
+        load_gamma_cache(path)
+    lp.verify_gamma.assert_not_called()
 
 
 def test_cache_resigned_halved_gamma_rejected(tmp_path):
