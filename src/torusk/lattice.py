@@ -168,17 +168,22 @@ def convex_hull(points) -> list[Point]:
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    hull: list[Point] = []
+    for seq in (pts, reversed(pts)):
+        # a chain pops its last vertex while it does not turn left at p:
+        # _cross(chain[-2], chain[-1], p) <= 0, inlined
+        chain: list[Point] = []
+        for p in seq:
+            px, py = p
+            while len(chain) >= 2:
+                ox, oy = chain[-2]
+                ax, ay = chain[-1]
+                if (ax - ox) * (py - oy) > (ay - oy) * (px - ox):
+                    break
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    return hull
 
 
 def hull_area(points) -> Fraction:

@@ -21,28 +21,31 @@ row's tables), zipping its interval lists with the per-k table columns
 of IntervalTables.columns.  Both loops walk these rows densest first,
 by window maximum, largest first: the rows with the most points have
 the most to lose to a's and b's cuts, so a bound that falls to N tends
-to get there in fewer rows.  An a's bound starts from the sum of
-those maxima plus row ell's widest window from a, swaps in a's terms row
-by row and drops a once it is <= N.  A surviving a's terms plus row ell's
-count bound each pair in O(1); a pair past that is scored by swapping
-each row's term at a for its term at (a, b), with the row's lower end at
-b computed in the loop, again stopping at <= N.  Only a pair that
-descends gathers its lower ends into a list for the child.  The terms of
-such a pair are exactly the child's window maxima, so they are handed
-down instead of recomputed.  For a fixed a, row ell's count only grows
-with b and every other row's term only shrinks, so a pair stopped at
-partial bound np <= N also stops every later b whose count is at most
-its own plus N - np; b jumps by bisection to the first count above that
-cap and above N minus the a's bound without row ell.  Every prune drops
-only candidates whose bound is <= N, and each swap only lowers a bound,
-so in any row order the recursion visits the same improving paths in
-the same order as a plain per-pair scan; the order moves only where a
-loop stops and how far b jumps.
+to get there in fewer rows.  The a loop walks row ell's coprime list
+between the row's ends, so a never lands on a z sharing a factor with
+ell.  An a's bound starts from the sum of those maxima plus row ell's
+widest window from a, swaps in a's terms row by row and drops a once it
+is <= N.  A surviving a's terms plus row ell's count bound each pair in
+O(1); a pair past that is scored by swapping each row's term at a for
+its term at (a, b), with the row's lower end at b computed and kept in
+the loop, again stopping at <= N.  A pair that descends has scored every
+row, so its kept lower ends and its terms are exactly the child's lower
+ends and window maxima, and both are handed down instead of recomputed.
+For a fixed a, row ell's count only grows with b and every other row's
+term only shrinks, so a pair stopped at partial bound np <= N also stops
+every later b whose count is at most its own plus N - np; b jumps by
+bisection to the first count above that cap and above N minus the a's
+bound without row ell.  Every prune drops only candidates whose bound is
+<= N, and each swap only lowers a bound, so in any row order the
+recursion visits the same improving paths in the same order as a plain
+per-pair scan; the order moves only where a loop stops and how far b
+jumps.
 
 The row tables are periodic: gcd(z + i, i) = gcd(z, i), so row i's
 coprime indicator, its window counts and every level of its sparse
 table repeat every i.  IntervalTables.columns builds one period of each
-and tiles it to full length by list repetition.
+and tiles it to full length by list repetition, and reads the row's
+coprime list off the tiled indicator.
 
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, isqrt
 from operator import itemgetter, sub
 
@@ -70,7 +73,8 @@ from .lattice import NiceSet
 
 
 class IntervalTables:
-    """Per-row coprime tables over [0, k], kept as three columns by row.
+    """Per-row coprime tables over [0, k]: three columns by row, plus each
+    row's coprime list.
 
     Row i's window maximum over [a, b] is the largest number of z coprime
     to i in a subinterval [a', b'] with (b' - a') * i <= k; it bounds row
@@ -90,17 +94,22 @@ class IntervalTables:
         self.k = k
         # index 0 is padding, so column[i] is row i's entry
         self._columns: tuple[list, list, list] = ([0], [[]], [[]])
+        # coprimes[i] lists the z in [0, k] with gcd(z, i) = 1, ascending, so
+        # coprimes[i][prefix[a]:prefix[b + 1]] are those in [a, b]
+        self.coprimes: list[list[int]] = [[]]
 
     def columns(self, n: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
-        """The (w, prefix, sparse) column lists, built out to row n; a search
-        node slices them next to its own interval bounds."""
+        """The (w, prefix, sparse) column lists, built out to row n together
+        with coprimes; a search node slices them next to its own interval
+        bounds."""
         ws, pres, sparses = columns = self._columns
         k = self.k
         for i in range(len(ws), n + 1):
             w = k // i
             starts = k - w + 1  # window starts 0..k-w
-            mask = [gcd(z, i) == 1 for z in range(i)]
-            pre = list(accumulate(_tiled(mask, k + 1), initial=0))
+            mask = _tiled([gcd(z, i) == 1 for z in range(i)], k + 1)
+            pre = list(accumulate(mask, initial=0))
+            self.coprimes.append(list(compress(range(k + 1), mask)))
             # one period of window counts, or all of them when there are
             # fewer (only for i > k), where no kept entry of a level wraps
             level = list(map(sub, pre[w + 1 : w + 1 + i], pre[:i]))
@@ -189,12 +198,14 @@ def _backtrack(
     # lowers a bound, so any order prunes the same candidates, and rows
     # with the largest maxima tend to lose the most and stop a loop soonest.
     # Per node, terms[i] and upper[i] hold row i's term and upper end at
-    # the current a and sub[i] its term at the current pair; a pair's lower
-    # ends are computed inside the scoring loop and gathered into a list
-    # only for a pair that descends.  A child reads upper and sub only
-    # until it returns.  They are lists, not tuples: dead tuples of these
-    # sizes stay on CPython's tuple free lists and would add megabytes to
-    # the peak RSS.  The window lookups are _window_max inlined.
+    # the current a, and low[i] and sub[i] its lower end and term at the
+    # current pair, kept while the pair is scored; a pair that descends has
+    # scored every row, so the child gets low, upper and sub as its L, U and
+    # full, and reads them only until it returns.  They are lists, not
+    # tuples: dead tuples of these sizes stay on CPython's tuple free lists
+    # and would add megabytes to the peak RSS.  a walks the coprimes to ell
+    # in [L[ell], U[ell]], a slice of row ell's coprime list, and the window
+    # lookups are _window_max inlined.
     ws, pres, sparses = tables.columns(ell)
     desc = sorted(
         zip(range(1, ell), L[1:ell], U[1:ell], full[1:ell], ws[1:ell], pres[1:ell],
@@ -205,10 +216,9 @@ def _backtrack(
     root_cut = inside and ell == h
     terms = [0] * ell
     upper = [0] * ell
+    low = [0] * ell
     sub = [0] * ell
-    for a in range(lo_ell, hi_ell + 1):
-        if pre_ell[a + 1] == pre_ell[a]:
-            continue  # gcd(a, ell) > 1
+    for a in tables.coprimes[ell][pre_ell[lo_ell] : pre_ell[hi_ell + 1]]:
         # every b <= b_max keeps (b - a) * ell <= k and counts <= span in
         # row ell; swapping full[i] for row i's term at a only lowers bound
         b_max = a + w_ell
@@ -271,6 +281,7 @@ def _backtrack(
                 end = -((k - b * i) // ell)
                 if end > lo:
                     lo = end
+                low[i] = lo
                 hi = upper[i]
                 if lo > hi:
                     x = 0
@@ -291,10 +302,10 @@ def _backtrack(
             if np <= N:
                 cap += N - np
                 continue
-            # sub now holds the child's window maxima over [lower, upper]
-            lower = [0] + [max(L[i], -((k - b * i) // ell)) for i in range(1, ell)]
+            # low and sub now hold the child's lower ends and its window
+            # maxima over [low, upper]
             stays = inside and -h < a + t * ell and b + t * ell < h
-            if stays and _stays_inside(h, t, ell, lower, upper):
+            if stays and _stays_inside(h, t, ell, low, upper):
                 # lower ends only grow with b, so every b < h - t*ell stays too
                 c = h - t * ell
                 if c > b_max:
@@ -303,7 +314,7 @@ def _backtrack(
                 continue
             choices.append((ell, a, b))
             N = _backtrack(
-                k, h, N, ell - 1, n_gt + row_count, lower, upper, sub, tables,
+                k, h, N, ell - 1, n_gt + row_count, low, upper, sub, tables,
                 choices, best, t, stays,
             )
             choices.pop()

@@ -1,6 +1,10 @@
 """Command-line surface: outputs, exit codes, caching."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -519,3 +523,22 @@ def test_table_byte_determinism(capsys):
     _, first, _ = run_cli(capsys, "table", "--from", "3", "--to", "10")
     _, second, _ = run_cli(capsys, "table", "--from", "3", "--to", "10")
     assert first == second
+
+
+def test_imports_stay_light():
+    # numpy and scipy load only with the first guided gamma solve, and the
+    # process pools only with a threaded command; every search, certify and
+    # lattice run pays for what a plain import pulls in
+    src = Path(lp.__file__).resolve().parents[1]
+    heavy = ("numpy", "scipy", "multiprocessing", "concurrent.futures")
+    code = (
+        "import sys\n"
+        "import torusk.search, torusk.lattice, torusk.lp, torusk.cli\n"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -219,6 +219,69 @@ def test_convex_hull_and_area():
     assert hull_area([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 2)
 
 
+def _reference_hull(points):
+    """Monotone chain with a cross-product helper per step."""
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+small_points = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+
+
+@st.composite
+def hull_inputs(draw):
+    """Point lists with repeats, collinear runs or at most two distinct
+    points, in a shuffled order."""
+    kind = draw(st.sampled_from(["scatter", "runs", "two"]))
+    if kind == "two":
+        pair = draw(st.lists(small_points, min_size=1, max_size=2))
+        pts = draw(st.lists(st.sampled_from(pair), max_size=6))
+    else:
+        pts = draw(st.lists(small_points, max_size=25))
+        for _ in range(draw(st.integers(0 if kind == "scatter" else 1, 3))):
+            (x, y), (dx, dy) = draw(small_points), draw(small_points)
+            pts += [(x + t * dx, y + t * dy) for t in range(draw(st.integers(2, 7)))]
+        pts += draw(st.lists(st.sampled_from(pts), max_size=5)) if pts else []
+    return draw(st.permutations(pts))
+
+
+@given(hull_inputs())
+@settings(max_examples=300, deadline=None)
+def test_convex_hull_matches_reference_chain(points):
+    assert convex_hull(points) == _reference_hull(points)
+
+
+@st.composite
+def small_nice_sets(draw):
+    k = draw(st.integers(1, 8))
+    kept = []
+    for p in draw(st.lists(st.tuples(st.integers(-k, k), st.integers(0, 3)), max_size=30)):
+        if gcd(*p) == 1 and check_k_nice(kept + [p], k) is None:
+            kept.append(p)
+    return NiceSet.from_points(kept, k)
+
+
+@given(small_nice_sets())
+@settings(max_examples=100, deadline=None)
+def test_convex_hull_of_nice_set_matches_reference_chain(q):
+    assert convex_hull(q) == _reference_hull(q.points)
+
+
 @given(unimods)
 def test_hull_area_unimodular_invariance(mat):
     pts = [(1, 0), (0, 1), (1, 1), (3, 1), (2, 3)]

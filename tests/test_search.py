@@ -127,6 +127,18 @@ class TestIntervalTables:
         )
         assert table_window_max(tables, i, a, b) == want
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 60, 97])
+    def test_coprime_columns_match_gcd_scan(self, k):
+        # rows built by two columns() calls, and rows past k, where the
+        # list is shorter than a period
+        tables = IntervalTables(k)
+        tables.columns(k // 2)
+        tables.columns(k + 3)
+        assert len(tables.coprimes) == k + 4
+        for i in range(1, k + 4):
+            want = [z for z in range(k + 1) if gcd(z, i) == 1]
+            assert tables.coprimes[i] == want, (k, i)
+
     @pytest.mark.parametrize("k", sorted(ROW_DIGESTS))
     def test_rows_match_recorded_tables(self, k):
         tables = IntervalTables(k)
@@ -462,31 +474,32 @@ def test_search_prune_work_stays_pinned(counted_tables):
     # count cap of a stopped pair) passes the plain-scan test, so count
     # the table reads of a fixed sweep: every prefix and sparse-level
     # element the search reads, wherever its window lookups are written.
-    # 126,775 is the count with every prune dropping bounds <= N, each
+    # 103,267 is the count with every prune dropping bounds <= N, each
     # child handed its pair's row terms and b jumping past both caps,
-    # and both loops walking the rows densest first.
+    # both loops walking the rows densest first, and a taken from row ell's
+    # coprime list, which costs two prefix reads per node.
     for k in range(40, 49):
         n_k = pattern_or_table(k).value
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute(k, h, n_k - 1, tables)
-    assert 0 < _CountedList.reads <= 126_775
+    assert 0 < _CountedList.reads <= 103_267
 
 
 def test_irreducibility_cut_work_stays_pinned(counted_tables):
     # the same for the cut, which skips subtrees that stay inside the strip
-    # |x + t*y| < h: max_size reads more than 41,160 with a cut without its
+    # |x + t*y| < h: max_size reads more than 32,968 with a cut without its
     # pair gate, and only a low baseline leaves rows empty often enough that
-    # a cut without its empty-row gate reads more than 525,490
+    # a cut without its empty-row gate reads more than 386,266
     for k in range(40, 49):
         max_size(k)
-    assert 0 < _CountedList.reads <= 41_160
+    assert 0 < _CountedList.reads <= 32_968
     _CountedList.reads = 0
     for k in range(40, 49):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute_with_witness(k, h, 1, tables, irreducible_only=True)
-    assert 0 < _CountedList.reads <= 525_490
+    assert 0 < _CountedList.reads <= 386_266
 
 
 def test_passed_down_bounds_match_recomputed(monkeypatch):
@@ -503,6 +516,44 @@ def test_passed_down_bounds_match_recomputed(monkeypatch):
             want = table_window_max(tables, i, L[i], U[i]) if L[i] <= U[i] else 0
             assert full[i] == want, (k, h, ell, i)
         return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside)
+
+    monkeypatch.setattr(search, "_backtrack", checking)
+    for k in range(13, 41):
+        n_k = pattern_or_table(k).value
+        tables = IntervalTables(k)
+        for h in range(2, isqrt(2 * k) + 1):
+            for baseline in (1, n_k - 1):
+                compute(k, h, baseline, tables)
+    assert nodes > 0
+
+
+def test_node_intervals_match_fixed_rows(monkeypatch):
+    # each node's intervals are handed down (lower ends kept from its
+    # parent's pair scoring, upper ends from its a loop) instead of being
+    # derived from the fixed rows; they must be exactly what the fixed rows
+    # allow when the node starts, and still be so when it returns, since a
+    # node and its subtree only read them
+    real = search._backtrack
+    nodes = 0
+
+    def checking(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside):
+        nonlocal nodes
+        if ell == h:
+            return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside)
+        nodes += 1
+        want = []
+        for i in range(1, ell + 1):
+            lo = 0 if i == 1 else 1
+            hi = k
+            for m, a, b in choices:
+                lo = max(lo, -((k - b * i) // m))  # ceil((b*i - k)/m)
+                hi = min(hi, (a * i + k) // m)
+            want.append((lo, hi))
+        where = (k, h, N, list(choices), ell)
+        assert list(zip(L[1 : ell + 1], U[1 : ell + 1])) == want, where
+        result = real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside)
+        assert list(zip(L[1 : ell + 1], U[1 : ell + 1])) == want, where
+        return result
 
     monkeypatch.setattr(search, "_backtrack", checking)
     for k in range(13, 41):
