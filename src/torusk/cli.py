@@ -20,7 +20,7 @@ from .errors import BudgetError, CacheError, VerificationError
 from . import bounds as bounds_mod
 from . import lp
 from .closedform import construct_height1, pattern_or_table
-from .heights import sweep, verify_height
+from .heights import map_jobs, sweep, verify_height
 from .oracle import brute_force_max
 from .search import max_size
 
@@ -99,7 +99,6 @@ def _build_parser() -> _Parser:
     which.add_argument("--l", dest="ell", type=int, default=None)
     which.add_argument("--lmax", dest="ell_max", type=positive_int, default=None,
                        help="emit a csv table for ell = 1..lmax")
-    p.add_argument("--method", choices=lp.METHODS, default="guided")
 
     p = add_parser("certify-dual", _run_certify_dual, ("--long",),
                    help="emit and verify a dual certificate matrix")
@@ -204,13 +203,7 @@ def _run_table(args: argparse.Namespace) -> tuple[str, int]:
             "pass --long or --no-check"
         )
     jobs = [(k, not args.no_check) for k in range(lo, hi + 1)]
-    if args.threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(_table_row, jobs, chunksize=8))
-    else:
-        rows = [_table_row(j) for j in jobs]
+    rows = map_jobs(_table_row, jobs, args.threads, chunksize=8)
     mismatches = [r for r in rows if r[3] is not None and r[3] != r[1]]
     lines = ["k,N,source"]
     lines += [f"{k},{n},{source}" for k, n, source, _ in rows]
@@ -224,10 +217,10 @@ def _run_table(args: argparse.Namespace) -> tuple[str, int]:
 
 def _run_lp_gamma(args: argparse.Namespace) -> tuple[str, int]:
     if args.ell_max is not None:
-        return lp.density_table_csv(args.ell_max, method=args.method), 0
+        return lp.density_table_csv(args.ell_max), 0
     if args.ell < 1:
         raise _UsageError(f"lp-gamma needs --l >= 1, got --l {args.ell}")
-    g = lp.gamma(args.ell, method=args.method).gamma
+    g = lp.gamma(args.ell).gamma
     return f"{g.numerator}/{g.denominator} ({lp.format_round4(g)})\n", 0
 
 

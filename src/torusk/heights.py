@@ -11,6 +11,9 @@ height exactly h is equivalent to one of smaller height (so h can be skipped
 in an exhaustive search over heights).  A not-verified verdict carries the
 first witnessing scan point and says only that this certificate failed, not
 that an irreducible set exists.
+
+map_jobs runs independent jobs in worker processes; sweep and the CLI's
+table both go through it.
 """
 
 from __future__ import annotations
@@ -97,15 +100,24 @@ def reduction_range(k: int) -> range:
     return range(lo + 1, hi + 1)
 
 
+def map_jobs(fn, jobs: list, threads: int, chunksize: int) -> list:
+    """[fn(job) for job in jobs], in input order.  With threads > 1 and more
+    than one job, the jobs run in that many spawned worker processes, so fn
+    must be a module-level function and jobs and results picklable."""
+    if threads <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=threads, mp_context=context) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunksize))
+
+
 def sweep(k_from: int, k_to: int, threads: int = 1) -> list[HeightVerdict]:
     """verify_height over the reduction range of every k in [k_from, k_to]."""
     pairs = [(k, h) for k in range(k_from, k_to + 1) for h in reduction_range(k) if h >= 2]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_verify_pair, pairs, chunksize=16))
-    return [verify_height(k, h) for k, h in pairs]
+    return map_jobs(_verify_pair, pairs, threads, chunksize=16)
 
 
 def _verify_pair(pair: tuple[int, int]) -> HeightVerdict:

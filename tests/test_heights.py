@@ -7,6 +7,7 @@ from torusk.closedform import best_low_height_set, construct_extremal
 from torusk.heights import (
     ROT,
     ceil_div,
+    map_jobs,
     reduction_range,
     reduce_height_sqrt2k,
     sweep,
@@ -69,6 +70,18 @@ def test_sweep_threads_agree():
     a = sweep(10, 40, threads=1)
     b = sweep(10, 40, threads=2)
     assert a == b
+
+
+def test_map_jobs_runs_one_job_or_one_thread_in_process(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("map_jobs started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert map_jobs(abs, [-3], threads=4, chunksize=1) == [3]
+    assert map_jobs(abs, [], threads=4, chunksize=1) == []
+    assert map_jobs(abs, [-1, 2, -5], threads=1, chunksize=1) == [1, 2, 5]
 
 
 @pytest.mark.parametrize("k", [5, 10, 17, 24, 48])

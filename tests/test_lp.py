@@ -10,17 +10,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lp_oracle import objective, solve_by_generation, solve_max
 from torusk import lp, numtheory
 from torusk.errors import BudgetError, CacheError, VerificationError
-from torusk.simplex import solve_max
 from torusk.lp import (
     DualCertificate,
     GammaValue,
     LP_SIZE_BUDGET,
     LpDualWitness,
-    SIMPLEX_BUDGET,
     _dual_rows,
-    _solve_by_generation,
     _solve_guided,
     check_dual,
     check_primal,
@@ -60,7 +58,7 @@ def test_gamma_4_exact():
 
 
 def test_gamma_rounded_small():
-    # the default path; test_01 checks the simplex rounding for ell = 1..20
+    # the guided path; test_01 checks the oracle's rounding for ell = 1..20
     for ell, want in ROUNDED.items():
         assert format_round4(gamma(ell).gamma) == want
 
@@ -146,7 +144,7 @@ def test_primal_objective_matches_fraction_sum(case):
 def test_objective_matches_rho():
     rhos = [numtheory.rho(i) for i in range(1, LP_SIZE_BUDGET + 1)]
     for ell in range(1, LP_SIZE_BUDGET + 1):
-        assert lp._objective(ell) == [-r for r in rhos[:ell]] + rhos[:ell], ell
+        assert objective(ell) == [-r for r in rhos[:ell]] + rhos[:ell], ell
 
 
 def fraction_check_dual(ell, witness):
@@ -353,24 +351,13 @@ def test_check_dual_rejects_malformed_keys(key):
 
 def test_gamma_budget(monkeypatch):
     def no_solve(ell):
-        raise AssertionError(f"simplex solved ell = {ell} past its budget")
+        raise AssertionError(f"solved ell = {ell} past the budget")
 
-    monkeypatch.setattr(lp, "_solve_by_generation", no_solve)
-    with pytest.raises(BudgetError):
+    monkeypatch.setattr(lp, "_solve_guided", no_solve)
+    with pytest.raises(BudgetError, match=f"LP size budget {LP_SIZE_BUDGET}"):
         gamma(LP_SIZE_BUDGET + 1)
-    with pytest.raises(BudgetError, match=f"simplex budget {SIMPLEX_BUDGET}"):
-        gamma(SIMPLEX_BUDGET + 1, method="simplex")
-    with pytest.raises(BudgetError, match=f"simplex budget {SIMPLEX_BUDGET}"):
-        density_table_csv(SIMPLEX_BUDGET + 1, method="simplex")
-
-
-@pytest.mark.parametrize("ell", [5, LP_SIZE_BUDGET + 1])
-def test_unknown_method_named_before_the_budget(ell):
-    # a bad method is a ValueError at any ell, not a BudgetError past it
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        gamma(ell, method="bogus")
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        density_table_csv(ell, method="bogus")
+    with pytest.raises(BudgetError, match=f"LP size budget {LP_SIZE_BUDGET}"):
+        density_table_csv(LP_SIZE_BUDGET + 1)
 
 
 def test_gamma_monotone_nonincreasing_is_false():
@@ -382,7 +369,7 @@ def test_guided_matches_simplex():
     # 13 is the smallest ell where the two paths land on different optimal
     # vertices, so both witnesses differ and must still verify
     for ell in (*range(1, 14), 26):
-        a = _solve_by_generation(ell)
+        a = solve_by_generation(ell)
         b = _solve_guided(ell)
         assert a.gamma == b.gamma, ell
         verify_gamma(a)
@@ -404,19 +391,6 @@ def test_guided_never_falls_back_over_the_budget(monkeypatch):
         assert gv.method == "guided", ell
         verify_gamma(gv)
         assert gv.gamma <= gamma_upper_bound(ell), ell
-
-
-def test_simplex_request_keeps_guided_memo(monkeypatch):
-    monkeypatch.setattr(lp, "_gamma_memo", {})
-    assert gamma(7, method="simplex").method == "simplex"
-    assert lp._gamma_memo == {}
-    guided = gamma(7)
-    assert guided.method == "guided"
-    oracle = gamma(7, method="simplex")
-    assert oracle.method == "simplex"
-    assert oracle.gamma == guided.gamma
-    assert lp._gamma_memo[7] is guided
-    assert gamma(7) is guided
 
 
 def test_guided_exact_systems_are_all_integer(monkeypatch):
@@ -1008,6 +982,19 @@ def test_cache_malformed_record(tmp_path, edit):
     resign(path, edit)
     with pytest.raises(CacheError):
         load_gamma_cache(path)
+
+
+def test_cache_loads_simplex_records(tmp_path):
+    # files written while gamma also had an exact-simplex path can hold
+    # records labelled "simplex"; they load and are verified like the rest
+    path = tmp_path / "gamma.txt"
+    save_gamma_cache(path, {4: gamma(4), 5: gamma(5), 7: solve_by_generation(7)})
+    resign(path, _set("method", "simplex"))
+    loaded = load_gamma_cache(path)
+    assert [loaded[ell].method for ell in (4, 5, 7)] == ["simplex", "guided", "simplex"]
+    assert {ell: gv.gamma for ell, gv in loaded.items()} == {
+        ell: gamma(ell).gamma for ell in (4, 5, 7)
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Exact tableau simplex and the rational linear-system solver."""
+"""The tests' exact tableau simplex and the rational linear-system solver."""
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -6,7 +6,8 @@ from heapq import heapify, heappop, heappush
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusk.simplex import LpSolution, Unbounded, solve_max, solve_rational_system
+from lp_oracle import LpSolution, Unbounded, solve_max
+from torusk.simplex import solve_rational_system
 
 
 def F(a, b=1):
