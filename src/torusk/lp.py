@@ -12,16 +12,18 @@ gamma_h * k + beta_h bounds the size of any k-nice set of height h; the
 strict inequalities behind the closed form for N(k) all reduce to exact
 statements about gamma.
 
-One solution path, ending in exact rational certificates: a
-floating-point solve (HiGHS's primal simplex on the transpose, without
-presolve; see _solve_guided) of the band relaxation, the link rows plus the
-rows i * tau_j - j * sigma_i <= 1 with i + j >= ell + 1 (the support of
-dual_matrix), proposes an active set; the vertex and multipliers are
-reconstructed by fraction-free elimination of integer systems, and the pair
-is accepted only if primal feasibility over every row of LP(ell), dual
-feasibility and equality of objectives all verify exactly; any failure
-raises VerificationError.  The tests compare this path against an exact
-simplex with constraint generation, kept with them as the oracle.
+One solution path, exact from the start and with no LP solver: put
+u_i = sigma_i / i and v_j = tau_j / j, and the dual of the band relaxation
+(the link rows plus the rows i * tau_j - j * sigma_i <= 1 with
+i + j >= ell + 1, the support of dual_matrix) becomes a transportation
+problem with cost 1/(ij).  In ascending i and descending j that cost array
+is Monge and the forbidden cells form a staircase, so the northwest-corner
+plan is an optimal dual, and potentials along its staircase give the
+primal point (see _solve_northwest).  The pair is accepted only if primal
+feasibility over every row of LP(ell), dual feasibility and equality of
+objectives all verify exactly; any failure raises VerificationError.  The
+tests compare this path against an exact simplex with constraint
+generation, kept with them as the oracle.
 
 A separate, solver-independent upper bound comes from explicit matrices
 feasible for the dual of the relaxed program: dual_matrix(ell) has value
@@ -39,13 +41,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import compress
-from math import isqrt, lcm
+from math import lcm
 from operator import index, mul
 from pathlib import Path
 
 from torusk import numtheory
 from torusk.errors import BudgetError, CacheError, VerificationError
-from torusk.simplex import solve_rational_system
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,7 +74,7 @@ class GammaValue:
     gamma: Fraction
     witness_primal: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]  # (sigma, tau)
     witness_dual: LpDualWitness | None
-    method: str  # "guided" for every solve; a cache record may say "simplex"
+    method: str  # "northwest" for every solve; a cache record may say "guided" or "simplex"
 
 
 def _row_entries(ell: int, key: RowKey) -> tuple[dict[int, int], int]:
@@ -191,115 +192,98 @@ def verify_gamma(gv: GammaValue) -> None:
         raise VerificationError(f"gamma({gv.ell}): duality gap")
 
 
-# --- float-guided path ------------------------------------------------------
+# --- northwest-corner path --------------------------------------------------
 
 
-def _band_key(ell: int, r: int) -> RowKey:
-    """Key of row r of the band relaxation: the ell link rows, then the
-    pairs (i, j, +1) with i + j >= ell + 1 by i and then j.  Each i owns
-    the i pairs j = ell + 1 - i .. ell, from pair p = i (i - 1) / 2 on."""
-    if r < ell:
-        return ("link", r + 1)
-    p = r - ell
-    i = (1 + isqrt(8 * p + 1)) // 2
-    return ("pair", i, ell + 1 - i + p - i * (i - 1) // 2, 1)
-
-
-def _solve_guided(ell: int) -> GammaValue:
-    """Propose an optimal active set with HiGHS, then rebuild and verify the
-    vertex and multipliers exactly.  Raises VerificationError naming the
-    step that failed (HiGHS, the support, either exact system, or
-    verify_gamma's own check); there is no second path to fall back on.
-
-    HiGHS sees only the band relaxation (the link rows and the upper pair
-    rows with i + j >= ell + 1, where dual_matrix lives): ell + ell(ell+1)/2
-    rows instead of ell + 2 ell^2.  The band loses nothing: rows (ell, j),
-    (i, ell) and link ell give i tau_j - j sigma_i <= (i + j) / ell, which
-    covers the upper rows with i + j <= ell, and the links bound each lower
-    row j sigma_i - i tau_j by the upper row j tau_i - i sigma_j.  The
-    rebuilt vertex is checked against every row of LP(ell) by verify_gamma
-    all the same, so a float slip raises instead of passing.
-
-    HiGHS (scipy's bundled binding) runs the primal simplex on the transposed
-    band LP, min rhs.y s.t. A^T y >= c, y >= 0: 2 ell basis entries, not one
-    per band row.  Its column values are the multipliers, its zero reduced
-    costs the tight rows and its positive row duals the positive coordinates."""
-    import numpy as np
-    from scipy.optimize._highspy import _core as highs
-
-    n = 2 * ell
-    links = np.arange(1, ell + 1)
-    # band pair p is (i[p], j[p]): i copies of each i, with j = ell+1-i .. ell
-    i = np.repeat(links, links)
-    j = ell + 1 - i + np.arange(i.size) - i * (i - 1) // 2
-    # band row r, column r of the transposed LP, owns data[2r:2r + 2] in _row_entries' order
-    cols = np.concatenate([np.column_stack([links - 1, ell + links - 1]).ravel(),
-                           np.column_stack([ell + j - 1, i - 1]).ravel()])
-    data = np.concatenate([np.tile([1.0, -1.0], ell),
-                           np.column_stack([i, -j]).ravel().astype(float)])
-    m = ell + i.size
-    rhs_f = np.concatenate([np.zeros(ell), np.ones(i.size)])
+def _northwest_plan(ell: int) -> list[tuple[int, int, int]]:
+    """The northwest-corner plan of the transportation problem behind
+    LP(ell), as cells (i, j, f) in walk order: rows i = 1..ell ship phi(i),
+    columns j = ell..1 take phi(j).  From (1, ell), each cell ships
+    f = min(what row i has left, what column j still needs); the walk then
+    moves to the next row once row i is used up, else to the next lower
+    column.  That is 2 ell - 1 cells, one with f = 0 wherever a row and a
+    column run out together.  VerificationError if a cell has i + j <= ell,
+    outside the band."""
     phi = numtheory.totients(ell)
-    ic = [-v for v in phi[1:]] + phi[1:]  # i * c[idx], i = idx % ell + 1
-    model = highs.HighsLp()
-    model.num_col_, model.num_row_, model.col_cost_ = m, n, rhs_f
-    model.col_lower_, model.col_upper_ = np.zeros(m), np.full(m, highs.kHighsInf)
-    model.row_lower_ = np.array(ic) / np.tile(links, 2)  # A^T y >= c
-    model.row_upper_ = np.full(n, highs.kHighsInf)
-    a = model.a_matrix_
-    a.format_, a.num_col_, a.num_row_ = highs.MatrixFormat.kColwise, m, n
-    a.start_, a.index_, a.value_ = np.arange(0, 2 * m + 1, 2), cols, data
-    solver = highs._Highs()
-    solver.setOptionValue("output_flag", False)
-    solver.setOptionValue("presolve", "off")
-    solver.setOptionValue("simplex_strategy", 4)  # primal simplex
-    solver.passModel(model)
-    solver.run()
-    if (status := solver.getModelStatus()) != highs.HighsModelStatus.kOptimal:
-        raise VerificationError(f"gamma({ell}): HiGHS did not solve: "
-                                f"{solver.modelStatusToString(status)}")
-    sol = solver.getSolution()
+    cells = []
+    i, j = 1, ell
+    supply, demand = phi[1], phi[ell]
+    while True:
+        if i + j <= ell:
+            raise VerificationError(f"gamma({ell}): northwest cell ({i}, {j}) is outside the band")
+        f = min(supply, demand)
+        cells.append((i, j, f))
+        supply -= f
+        demand -= f
+        if supply:
+            j -= 1
+            demand = phi[j]
+        elif i < ell:
+            i += 1
+            supply = phi[i]
+        else:
+            return cells
 
-    support = np.flatnonzero(np.array(sol.col_value) > 1e-9).tolist()
-    tight = np.flatnonzero(np.abs(sol.col_dual) < 1e-7).tolist()
-    pos = set(np.flatnonzero(np.array(sol.row_dual) > 1e-9).tolist())
-    if not support or not pos:
-        raise VerificationError(f"gamma({ell}): HiGHS gave an empty support")
-    rows = {r: _row_entries(ell, _band_key(ell, r)) for r in {*support, *tight}}
 
-    # Exact vertex: active rows restricted to the positive coordinates; the
-    # other coordinates then appear in no row and come back as zero.
-    x = solve_rational_system(
-        [{idx: a for idx, a in rows[r][0].items() if idx in pos} for r in tight],
-        [rows[r][1] for r in tight],
-        n,
-    )
-    if x is None:
-        raise VerificationError(f"gamma({ell}): inconsistent vertex system")
-    sigma, tau = x[:ell], x[ell:]
+def _staircase_potentials(ell: int, cells) -> tuple[list[Fraction], list[Fraction]]:
+    """Potentials u, v (index 0 unused) with v_j - u_i = 1/(ij) on every
+    cell of the plan, shifted so that min u = 0.  Each cell after the first
+    shares its column (a move down) or its row (a move left) with the cell
+    before it, so it fixes the potential of the row or column it enters;
+    the walk starts from v_ell = 0."""
+    u = [ZERO] * (ell + 1)
+    v = [ZERO] * (ell + 1)
+    row = 0
+    for i, j, _ in cells:
+        if i != row:
+            u[i] = v[j] - Fraction(1, i * j)
+            row = i
+        else:
+            v[j] = u[i] + Fraction(1, i * j)
+    low = min(u[1:])
+    return [x - low for x in u], [x - low for x in v]
 
-    # Exact multipliers on the guessed support: y^T A = c on the coordinates
-    # where the vertex is nonzero (complementary slackness), the equation of
-    # column idx scaled by i = idx % ell + 1 so that it reads in ints
-    eqs: dict[int, dict[int, int]] = {idx: {} for idx in range(n) if x[idx] != 0}
-    for t, r in enumerate(support):
-        for idx, a in rows[r][0].items():
-            if idx in eqs:
-                eqs[idx][t] = a * (idx % ell + 1)
-    ysol = solve_rational_system(list(eqs.values()), [ic[idx] for idx in eqs], len(support))
-    if ysol is None:
-        raise VerificationError(f"gamma({ell}): inconsistent multiplier system")
-    multipliers = tuple(
-        (_band_key(ell, r), y) for r, y in zip(support, ysol) if y != 0
-    )
-    nums, big = _scaled([y for r, y in zip(support, ysol) if rows[r][1]])
+
+def _solve_northwest(ell: int) -> GammaValue:
+    """gamma(ell) with both witnesses, from the northwest-corner plan, in
+    O(ell) exact steps before verify_gamma's check; no LP solver.
+
+    Put u_i = sigma_i / i and v_j = tau_j / j.  The pair row
+    i tau_j - j sigma_i <= 1 reads v_j - u_i <= 1/(ij), and the objective
+    sum_i phi(i) (v_i - u_i).  With the link multipliers at zero, the dual
+    of the band relaxation (the links and the pair rows with
+    i + j >= ell + 1, where dual_matrix lives) is then a transportation
+    problem: row i ships phi(i), column j takes phi(j), a unit on (i, j)
+    costs 1/(ij), only the band cells may carry flow, and the total cost
+    is minimised.  A flow f on
+    (i, j) is the multiplier f/(ij) on ("pair", i, j, 1).
+
+    With rows in ascending i and columns in descending j the cost array is
+    Monge: for i < i' and j > j',
+    1/(ij) + 1/(i'j') - 1/(ij') - 1/(i'j) = (1/i - 1/i')(1/j - 1/j') < 0,
+    and the cells outside the band (i + j <= ell) form the upper-right
+    staircase.  The northwest-corner rule is optimal on such arrays
+    (Hoffman 1963; Burkard, Klinz and Rudolf 1996), so _northwest_plan is
+    an optimal dual.  Its 2 ell - 1 cells form a spanning tree of the rows
+    and columns, and _staircase_potentials makes each of them a tight pair
+    row (complementary slackness); sigma_i = i u_i and tau_j = j v_j.
+
+    The theorem only explains why the pair should verify: verify_gamma
+    proves it, over every row of LP(ell), dual feasibility and equal
+    objectives, and its VerificationError reaches the caller."""
+    cells = _northwest_plan(ell)
+    u, v = _staircase_potentials(ell, cells)
+    sigma = tuple(i * u[i] for i in range(1, ell + 1))
+    tau = tuple(j * v[j] for j in range(1, ell + 1))
+    multipliers = tuple((("pair", i, j, 1), Fraction(f, i * j)) for i, j, f in cells if f)
+    nums, big = _scaled([y for _, y in multipliers])
     value = Fraction(sum(nums), big)
     gv = GammaValue(
         ell=ell,
         gamma=primal_objective(ell, sigma, tau),
-        witness_primal=(tuple(sigma), tuple(tau)),
+        witness_primal=(sigma, tau),
         witness_dual=LpDualWitness(ell=ell, multipliers=multipliers, value=value),
-        method="guided",
+        method="northwest",
     )
     verify_gamma(gv)
     return gv
@@ -327,9 +311,9 @@ _gamma_memo: dict[int, GammaValue] = {}
 
 def gamma(ell: int) -> GammaValue:
     """Exact optimum of LP(ell) with verified primal and dual witnesses,
-    from the HiGHS-guided exact reconstruction (_solve_guided), memoized.
-    VerificationError if anything fails to verify; BudgetError above
-    LP_SIZE_BUDGET.
+    from the northwest-corner plan and its staircase potentials
+    (_solve_northwest), memoized.  VerificationError if anything fails to
+    verify; BudgetError above LP_SIZE_BUDGET.
     """
     ell = _integer_ell("gamma", ell)
     if ell < 1:
@@ -339,7 +323,7 @@ def gamma(ell: int) -> GammaValue:
         hit = _gamma_memo.get(ell)
     if hit is not None:
         return hit
-    gv = _solve_guided(ell)
+    gv = _solve_northwest(ell)
     with _gamma_lock:
         return _gamma_memo.setdefault(ell, gv)
 
@@ -632,9 +616,10 @@ def load_gamma_cache(path: str | Path) -> dict[int, GammaValue]:
     tag, _, digest = lines[-1].partition(" ")
     if tag != "sha256" or digest != _checksum(lines[:-1]):
         raise CacheError(f"{path}: checksum mismatch")
-    # files written while gamma had a second, exact-simplex path can hold
-    # "simplex" records; verify_gamma re-proves every record whatever its label
-    labels = ("guided", "simplex")
+    # files written by earlier solvers hold "guided" (HiGHS plus exact
+    # elimination) or "simplex" records; verify_gamma re-proves every record
+    # whatever its label
+    labels = ("northwest", "guided", "simplex")
     out: dict[int, GammaValue] = {}
     for n, line in enumerate(lines[1:-1], start=2):
         try:

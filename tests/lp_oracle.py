@@ -10,7 +10,7 @@ Pivoting uses Dantzig's rule (largest reduced cost) while the objective is
 moving and switches permanently to Bland's rule after a run of degenerate
 pivots; Bland's rule cannot cycle, so termination is unconditional.
 
-The program answers gamma(ell) with lp._solve_guided alone; the tests
+The program answers gamma(ell) with lp._solve_northwest alone; the tests
 compare that path against solve_by_generation, which shares only the row
 definitions and verify_gamma with it.
 """

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from plan_mutants import PLAN_MUTANTS, patch_plan
 from torusk import cli, lp, search
 from torusk.cli import main
 from torusk.closedform import pattern_or_table
@@ -480,21 +481,14 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, arg
 
 
 def test_guided_failure_exits_two_and_memoizes_nothing(capsys, fresh_memo, monkeypatch):
-    # the doubled-multiplier patch of test_lp: the guided candidate for
-    # gamma(4) fails verify_gamma, and there is no fallback to hide it
-    real = lp.solve_rational_system
-    calls = []
-
-    def doubled_multipliers(rows, rhs, n):
-        calls.append(n)
-        x = real(rows, rhs, n)
-        return x if len(calls) == 1 or x is None else [2 * y for y in x]
-
-    monkeypatch.setattr(lp, "solve_rational_system", doubled_multipliers)
-    code, out, err = run_cli(capsys, "lp-gamma", "--l", "4")
-    assert (code, out) == (2, "")
-    assert err.startswith("verification failed: gamma(4)")
-    assert lp._gamma_memo == {}
+    # each mutant of the northwest plan or its potentials fails verify_gamma
+    # for gamma(4), and there is no fallback to hide it
+    for mutant, (_, _, message) in PLAN_MUTANTS.items():
+        with monkeypatch.context() as m:
+            patch_plan(m, mutant)
+            code, out, err = run_cli(capsys, "lp-gamma", "--l", "4")
+        assert (code, out, err) == (2, "", f"verification failed: gamma(4): {message}\n"), mutant
+        assert lp._gamma_memo == {}
 
 
 def test_threaded_table_matches_serial(capsys):
@@ -512,19 +506,23 @@ def test_table_byte_determinism(capsys):
 
 
 def test_imports_stay_light():
-    # numpy and scipy load only with the first guided gamma solve, and the
-    # process pools only with a threaded command; every search, certify and
-    # lattice run pays for what a plain import pulls in
+    # nothing in the package imports numpy or scipy, not even a cold gamma
+    # solve or the density table, and the process pools load only with a
+    # threaded command; every search, certify and lattice run pays for what
+    # a plain import pulls in
     src = Path(lp.__file__).resolve().parents[1]
     heavy = ("numpy", "scipy", "multiprocessing", "concurrent.futures")
     code = (
         "import sys\n"
         "import torusk.search, torusk.lattice, torusk.lp, torusk.cli\n"
         f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+        "torusk.lp.gamma(40)\n"
+        "torusk.lp.density_table_csv(8)\n"
+        f"print(sorted(m for m in {heavy[:2]!r} if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"

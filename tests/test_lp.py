@@ -1,16 +1,18 @@
 """gamma(ell): exact solves, witnesses, certificates, cache."""
 
+import hashlib
 import json
 import re
 from array import array
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lp_oracle import objective, solve_by_generation, solve_max
+from plan_mutants import PLAN_MUTANTS, patch_plan
 from torusk import lp, numtheory
 from torusk.errors import BudgetError, CacheError, VerificationError
 from torusk.lp import (
@@ -19,7 +21,7 @@ from torusk.lp import (
     LP_SIZE_BUDGET,
     LpDualWitness,
     _dual_rows,
-    _solve_guided,
+    _solve_northwest,
     check_dual,
     check_primal,
     density_table_csv,
@@ -58,7 +60,7 @@ def test_gamma_4_exact():
 
 
 def test_gamma_rounded_small():
-    # the guided path; test_01 checks the oracle's rounding for ell = 1..20
+    # the northwest path; test_01 checks the oracle's rounding for ell = 1..20
     for ell, want in ROUNDED.items():
         assert format_round4(gamma(ell).gamma) == want
 
@@ -230,9 +232,9 @@ def _lower_violation(ell, j0):
 
 @pytest.mark.parametrize("ell", [3, 5, 9])
 def test_exact_check_covers_rows_outside_the_band(ell):
-    """HiGHS sees only the links and the upper rows with i + j >= ell + 1.
-    These points break first a row it never sees: an upper row with
-    i + j <= ell or a lower row.  The band rows implied by it
+    """The northwest plan lives on the band, the upper rows with
+    i + j >= ell + 1.  These points break first a row off the band: an
+    upper row with i + j <= ell or a lower row.  The band rows implied by it
     (test_band_rows_imply_every_row) break too, later in the scan, so a
     check over the band alone would name another row or none."""
     cases = [_upper_violation(ell, i, j) for i in range(1, ell) for j in range(1, ell + 1 - i)]
@@ -246,7 +248,7 @@ def test_exact_check_covers_rows_outside_the_band(ell):
             gamma=primal_objective(ell, sigma, tau),
             witness_primal=(tuple(sigma), tuple(tau)),
             witness_dual=dual,
-            method="guided",
+            method="northwest",
         )
         with pytest.raises(VerificationError, match=re.escape(want)):
             verify_gamma(forged)
@@ -254,11 +256,22 @@ def test_exact_check_covers_rows_outside_the_band(ell):
 
 def test_band_rows_imply_every_row():
     """The exact simplex maximises each pair row of LP(ell) over the links
-    and the band rows alone and never gets past 1: the band relaxation that
-    _solve_guided hands HiGHS has the same feasible set as LP(ell)."""
+    and the band rows alone and never gets past 1: the band relaxation whose
+    dual _solve_northwest solves has the same feasible set as LP(ell)."""
+
+    def band_key(ell, r):
+        # the ell link rows, then the pairs (i, j, +1) with i + j >= ell + 1
+        # by i and then j: each i owns the i pairs j = ell + 1 - i .. ell,
+        # from pair p = i (i - 1) / 2 on
+        if r < ell:
+            return ("link", r + 1)
+        p = r - ell
+        i = (1 + isqrt(8 * p + 1)) // 2
+        return ("pair", i, ell + 1 - i + p - i * (i - 1) // 2, 1)
+
     for ell in range(1, 7):
         n = 2 * ell
-        band = [lp._band_key(ell, r) for r in range(ell + ell * (ell + 1) // 2)]
+        band = [band_key(ell, r) for r in range(ell + ell * (ell + 1) // 2)]
         assert sorted(band[ell:]) == [
             ("pair", i, j, 1) for i in range(1, ell + 1) for j in range(1, ell + 1)
             if i + j >= ell + 1
@@ -353,7 +366,7 @@ def test_gamma_budget(monkeypatch):
     def no_solve(ell):
         raise AssertionError(f"solved ell = {ell} past the budget")
 
-    monkeypatch.setattr(lp, "_solve_guided", no_solve)
+    monkeypatch.setattr(lp, "_solve_northwest", no_solve)
     with pytest.raises(BudgetError, match=f"LP size budget {LP_SIZE_BUDGET}"):
         gamma(LP_SIZE_BUDGET + 1)
     with pytest.raises(BudgetError, match=f"LP size budget {LP_SIZE_BUDGET}"):
@@ -366,11 +379,11 @@ def test_gamma_monotone_nonincreasing_is_false():
 
 
 def test_guided_matches_simplex():
-    # 13 is the smallest ell where the two paths land on different optimal
-    # vertices, so both witnesses differ and must still verify
+    # the northwest path against the exact simplex of the tests: the same
+    # value, and both witnesses verify (they need not be the same vertex)
     for ell in (*range(1, 14), 26):
         a = solve_by_generation(ell)
-        b = _solve_guided(ell)
+        b = _solve_northwest(ell)
         assert a.gamma == b.gamma, ell
         verify_gamma(a)
         verify_gamma(b)
@@ -379,63 +392,47 @@ def test_guided_matches_simplex():
 def test_guided_never_falls_back(monkeypatch):
     monkeypatch.setattr(lp, "_gamma_memo", {})  # a warm memo would skip the solves
     for ell in range(1, 61):
-        assert gamma(ell).method == "guided", ell
+        assert gamma(ell).method == "northwest", ell
 
 
-@pytest.mark.slow
-def test_guided_never_falls_back_over_the_budget(monkeypatch):
-    # opt-in (pytest -m slow): about a minute on a 2-core host
+# sha256 of "\n".join(str(gamma(ell).gamma) for ell = 1..256), computed with
+# the earlier HiGHS-guided solver with exact elimination
+BUDGET_GAMMA_SHA256 = "d4d52caac24d75b5da72452721e2b1dbc27041ef5b6f596c137b3ff52384a61d"
+
+
+def test_northwest_over_the_budget(monkeypatch):
+    # every ell the budget allows: one plan of 2 ell - 1 cells, all in the
+    # band, a verified pair, and the whole value set unchanged
     monkeypatch.setattr(lp, "_gamma_memo", {})
+    values = []
     for ell in range(1, LP_SIZE_BUDGET + 1):
+        cells = lp._northwest_plan(ell)
+        assert len(cells) == 2 * ell - 1, ell
+        assert all(i + j >= ell + 1 for i, j, _ in cells), ell
         gv = gamma(ell)
-        assert gv.method == "guided", ell
+        assert gv.method == "northwest", ell
         verify_gamma(gv)
         assert gv.gamma <= gamma_upper_bound(ell), ell
-
-
-def test_guided_exact_systems_are_all_integer(monkeypatch):
-    # both systems _solve_guided hands the solver are int-only: the vertex
-    # rows are, and each multiplier equation is scaled by its column's i
-    real = lp.solve_rational_system
-    calls = []
-
-    def ints_only(rows, rhs, n):
-        calls.append(n)
-        assert all(type(a) is int for row in rows for a in row.values())
-        assert all(type(b) is int for b in rhs)
-        return real(rows, rhs, n)
-
-    monkeypatch.setattr(lp, "solve_rational_system", ints_only)
-    monkeypatch.setattr(lp, "_gamma_memo", {})
-    for ell in range(1, 31):
-        assert gamma(ell).method == "guided"
-    assert len(calls) == 60
+        values.append(str(gv.gamma))
+    digest = hashlib.sha256("\n".join(values).encode("utf-8")).hexdigest()
+    assert digest == BUDGET_GAMMA_SHA256
 
 
 @pytest.mark.parametrize("ell", [4, 9])
 def test_unverified_guided_candidate_raises(monkeypatch, ell):
-    # _solve_guided solves for the vertex, then for the multipliers; doubled
-    # multipliers overshoot the sigma_1 column, and verify_gamma's message
-    # reaches the caller unchanged
-    real = lp.solve_rational_system
-    calls = []
-
-    def doubled_multipliers(rows, rhs, n):
-        calls.append(n)
-        x = real(rows, rhs, n)
-        return x if len(calls) == 1 or x is None else [2 * y for y in x]
-
-    monkeypatch.setattr(lp, "solve_rational_system", doubled_multipliers)
+    # every plan mutant fails verify_gamma, whose message reaches the
+    # caller unchanged (test_cli pins the ell = 4 messages), and gamma
+    # memoizes nothing
     monkeypatch.setattr(lp, "_gamma_memo", {})
-    problem = "dual witness rejected: dual infeasible at column 0"
-    message = f"^{re.escape(f'gamma({ell}): {problem}')}$"
-    with pytest.raises(VerificationError, match=message):
-        _solve_guided(ell)
-    calls.clear()
-    with pytest.raises(VerificationError, match=message):
-        gamma(ell)
-    assert len(calls) == 2
-    assert ell not in lp._gamma_memo
+    message = rf"^gamma\({ell}\): (primal|dual) witness"
+    for mutant in PLAN_MUTANTS:
+        with monkeypatch.context() as m:
+            patch_plan(m, mutant)
+            with pytest.raises(VerificationError, match=message):
+                _solve_northwest(ell)
+            with pytest.raises(VerificationError, match=message):
+                gamma(ell)
+    assert lp._gamma_memo == {}
 
 
 def test_guided_duality_gap_reaches_caller(monkeypatch):
@@ -448,80 +445,18 @@ def test_guided_duality_gap_reaches_caller(monkeypatch):
     assert lp._gamma_memo == {}
 
 
-@pytest.mark.parametrize(
-    "failing_call, step",
-    [(1, "inconsistent vertex system"), (2, "inconsistent multiplier system")],
-)
-def test_guided_names_the_failed_exact_system(monkeypatch, failing_call, step):
-    real = lp.solve_rational_system
-    calls = []
-
-    def fails_once(rows, rhs, n):
-        calls.append(n)
-        return None if len(calls) == failing_call else real(rows, rhs, n)
-
-    monkeypatch.setattr(lp, "solve_rational_system", fails_once)
-    with pytest.raises(VerificationError, match=re.escape(f"gamma(5): {step}")):
-        _solve_guided(5)
-
-
-def test_guided_reports_a_failed_highs_solve(monkeypatch):
-    """A real HiGHS run stopped at zero simplex iterations ends in a status
-    other than optimal, which _solve_guided must report and not memoize."""
-    from scipy.optimize._highspy import _core
-
-    class Limited(_core._Highs):
-        def passModel(self, model):
-            self.setOptionValue("simplex_iteration_limit", 0)
-            return super().passModel(model)
-
-    monkeypatch.setattr(_core, "_Highs", Limited)
-    monkeypatch.setattr(lp, "_gamma_memo", {})
+def test_plan_outside_the_band_raises(monkeypatch):
+    # a walk that would ship on a cell with i + j <= ell stops there
+    monkeypatch.setattr(numtheory, "totients", lambda n: [0, 2, 1, 1])
     with pytest.raises(VerificationError,
-                       match=r"^gamma\(5\): HiGHS did not solve: Iteration limit reached$"):
-        gamma(5)
-    assert lp._gamma_memo == {}
-
-
-def test_highs_binding_has_what_the_guided_path_reads():
-    """_solve_guided calls HiGHS through the binding scipy ships; a scipy
-    release that moves or renames any of these fails here, by name."""
-    from scipy.optimize._highspy import _core
-
-    for name in ("HighsLp", "MatrixFormat", "_Highs", "HighsModelStatus", "kHighsInf"):
-        assert hasattr(_core, name), f"scipy.optimize._highspy._core.{name} is gone"
-    assert hasattr(_core.MatrixFormat, "kColwise"), "MatrixFormat.kColwise is gone"
-    assert hasattr(_core.HighsModelStatus, "kOptimal"), "HighsModelStatus.kOptimal is gone"
-    solver = _core._Highs()
-    assert solver.setOptionValue("simplex_strategy", 4) == _core.HighsStatus.kOk, \
-        "HiGHS no longer takes simplex_strategy = 4 (primal simplex)"
-
-
-def test_guided_solve_hands_highs_the_transposed_band():
-    """HiGHS sees one row per sigma_i / tau_i and one column per band row
-    (ell links and ell (ell + 1) / 2 pairs), stored column-wise."""
-    from scipy.optimize._highspy import _core
-
-    seen = []
-
-    class Spy(_core._Highs):
-        def passModel(self, model):
-            a = model.a_matrix_
-            seen.append((model.num_row_, model.num_col_, a.format_, a.num_row_, a.num_col_))
-            return super().passModel(model)
-
-    with mock.patch.object(_core, "_Highs", Spy):
-        for ell in (1, 2, 7, 30):
-            _solve_guided(ell)
-    colwise = _core.MatrixFormat.kColwise
-    assert seen == [(2 * ell, ell + ell * (ell + 1) // 2, colwise,
-                     2 * ell, ell + ell * (ell + 1) // 2) for ell in (1, 2, 7, 30)]
+                       match=re.escape("gamma(3): northwest cell (1, 2) is outside the band")):
+        lp._northwest_plan(3)
 
 
 @pytest.mark.parametrize("ell", [5, 40])
 def test_guided_solve_writes_nothing(monkeypatch, capfd, ell):
-    """HiGHS logs to the C-level stdout unless told not to, which would
-    corrupt --json output; a cold solve must leave fds 1 and 2 untouched."""
+    """Anything a solve wrote to fds 1 or 2 would corrupt --json output; a
+    cold solve must leave them untouched."""
     monkeypatch.setattr(lp, "_gamma_memo", {})
     capfd.readouterr()
     gamma(ell)
@@ -985,11 +920,15 @@ def test_cache_malformed_record(tmp_path, edit):
 
 
 def test_cache_loads_simplex_records(tmp_path):
-    # files written while gamma also had an exact-simplex path can hold
-    # records labelled "simplex"; they load and are verified like the rest
+    # files written by earlier solvers can hold records labelled "simplex"
+    # or "guided"; they load and are verified like the rest
     path = tmp_path / "gamma.txt"
     save_gamma_cache(path, {4: gamma(4), 5: gamma(5), 7: solve_by_generation(7)})
-    resign(path, _set("method", "simplex"))
+
+    def relabel(records):
+        records[0]["method"], records[1]["method"] = "simplex", "guided"
+
+    resign(path, relabel)
     loaded = load_gamma_cache(path)
     assert [loaded[ell].method for ell in (4, 5, 7)] == ["simplex", "guided", "simplex"]
     assert {ell: gv.gamma for ell, gv in loaded.items()} == {
