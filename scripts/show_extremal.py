@@ -19,7 +19,9 @@ def main() -> int:
     for k in EXTREMAL_K:
         q = construct_extremal(k)
         problem = lattice.check_k_nice(q.points, k)
-        assert problem is None, problem
+        if problem is not None:
+            print(f"k = {k}: the k + 6 set is not k-nice: {problem}", file=sys.stderr)
+            return 1
         p = isqrt(k + 1)
         print(f"k = {k} = {p}^2 - 1: {len(q.points)} = k + 6 points")
         rows = defaultdict(list)
@@ -29,7 +31,10 @@ def main() -> int:
             xs = rows[n]
             print(f"  row {n}: {len(xs):3d} points, x in [{xs[0]}, {xs[-1]}]")
         found = max_size(k)
-        assert found.max_size == k + 6
+        if found.max_size != k + 6:
+            print(f"k = {k}: search finds N({k}) = {found.max_size}, not k + 6",
+                  file=sys.stderr)
+            return 1
         print(f"  search agrees: N({k}) = {found.max_size}\n")
     return 0
 

@@ -15,8 +15,8 @@ The headline entry points:
     bounds.check_threshold_3225(...)   the inequality sweeps behind the closed form
 """
 
-from torusk.errors import BudgetError, CacheError, VerificationError
+from torusk.errors import BudgetError, VerificationError
 
-__all__ = ["BudgetError", "CacheError", "VerificationError"]
+__all__ = ["BudgetError", "VerificationError"]
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .numtheory import beta, rho, alpha, small_prime_part
-from .lp import gamma
+from .lp import LP_SIZE_BUDGET, gamma
 
 PI_LO = Fraction(311, 99)
 PI_HI = Fraction(355, 113)
@@ -139,8 +139,8 @@ def _check_threshold(
     With K = k0 for h <= h_split and K = tail * h^2 above (the least k a
     height-h set allows), each h needs gamma_h K + beta_h < K + 3.
     """
-    if not (4 <= h_max <= 256):
-        raise ValueError(f"h_max must be in 4..256, got {h_max}")
+    if not (4 <= h_max <= LP_SIZE_BUDGET):
+        raise ValueError(f"h_max must be in 4..{LP_SIZE_BUDGET}, got {h_max}")
     slacks = []
     for h in range(4, h_max + 1):
         least_k = k0 if h <= h_split else tail * h * h

@@ -5,18 +5,17 @@ per-height pipeline), oracle (brute force), table (range sweep with
 closed-form reconciliation), lp-gamma, certify-dual, verify-height and
 bounds.  Exit codes: 0 ok, 1 usage, 2 a verification failed, 3 a size
 or time budget was exceeded.  Output is deterministic byte-for-byte for
-a fixed command line and cache state.
+a fixed command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from .errors import BudgetError, CacheError, VerificationError
+from .errors import BudgetError, VerificationError
 from . import bounds as bounds_mod
 from . import lp
 from .closedform import construct_height1, pattern_or_table
@@ -24,7 +23,6 @@ from .heights import map_jobs, sweep, verify_height
 from .oracle import brute_force_max
 from .search import max_size
 
-_GAMMA_CACHE = "gamma.txt"
 CERTIFY_BUDGET = 2000  # largest certify-dual --l without --long
 # largest table --to searched without --long: the top of the range the tests
 # re-derive by search (k = 1000 alone takes minutes)
@@ -53,8 +51,6 @@ def positive_int(text: str) -> int:
 # subcommands that read it, and only after the subcommand name, so a flag
 # given before the name is a usage error rather than silently overwritten
 _SHARED_FLAGS = {
-    "--cache-dir": dict(default=None,
-                        help="cache directory (env TORUSK_CACHE_DIR as fallback)"),
     "--threads": dict(type=positive_int, default=1),
     "--long": dict(action="store_true", dest="long_mode",
                    help="allow full-scale sweeps (hours)"),
@@ -93,8 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-check", action="store_true",
                    help="emit closed-form values only, skip the search cross-check")
 
-    p = add_parser("lp-gamma", _run_lp_gamma, ("--cache-dir",),
-                   help="exact LP optimum gamma_ell")
+    p = add_parser("lp-gamma", _run_lp_gamma, help="exact LP optimum gamma_ell")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--l", dest="ell", type=int, default=None)
     which.add_argument("--lmax", dest="ell_max", type=positive_int, default=None,
@@ -113,29 +108,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", dest="k_from", type=int, default=None)
     p.add_argument("--to", dest="k_to", type=int, default=None)
 
-    p = add_parser("bounds", _run_bounds, ("--cache-dir",),
-                   help="inequality suite reports")
+    p = add_parser("bounds", _run_bounds, help="inequality suite reports")
     p.add_argument("--suite", choices=("sum210", "threshold-3225", "threshold-1892", "size-bound",
                                        "density-threshold", "all"), default="all")
     p.add_argument("--json", action="store_true")
     return parser
-
-
-def _load_gamma_cache(cache_dir: str) -> None:
-    gamma_file = Path(cache_dir) / _GAMMA_CACHE
-    if gamma_file.exists():
-        try:
-            lp.warm_gamma_memo(lp.load_gamma_cache(gamma_file))
-        except (CacheError, VerificationError) as exc:
-            print(f"warning: ignoring bad gamma cache: {exc}", file=sys.stderr)
-
-
-def _save_gamma_cache(cache_dir: str) -> None:
-    snapshot = lp.gamma_memo_snapshot()
-    if snapshot:
-        base = Path(cache_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        lp.save_gamma_cache(base / _GAMMA_CACHE, snapshot)
 
 
 def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
@@ -312,12 +289,6 @@ def _run_bounds(args: argparse.Namespace) -> tuple[str, int]:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # only the subcommands that compute gamma take --cache-dir
-        cache_dir = None
-        if hasattr(args, "cache_dir"):
-            cache_dir = args.cache_dir or os.environ.get("TORUSK_CACHE_DIR")
-        if cache_dir is not None:
-            _load_gamma_cache(cache_dir)
         text, code = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -336,8 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"usage error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 1
-    if cache_dir is not None:
-        _save_gamma_cache(cache_dir)
     return code
 
 

@@ -11,7 +11,3 @@ class VerificationError(Exception):
 
 class BudgetError(Exception):
     """A size or time budget was exceeded before starting the computation."""
-
-
-class CacheError(Exception):
-    """A cache file is malformed or fails its checksum; caller should rebuild."""

@@ -33,9 +33,6 @@ ell >= 4, which is the fact that separates the k+2/k+3/k+4 patterns.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,10 +40,9 @@ from functools import cache
 from itertools import compress
 from math import lcm
 from operator import index, mul
-from pathlib import Path
 
 from torusk import numtheory
-from torusk.errors import BudgetError, CacheError, VerificationError
+from torusk.errors import BudgetError, VerificationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -74,7 +70,7 @@ class GammaValue:
     gamma: Fraction
     witness_primal: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]  # (sigma, tau)
     witness_dual: LpDualWitness | None
-    method: str  # "northwest" for every solve; a cache record may say "guided" or "simplex"
+    method: str  # "northwest": the only solve path
 
 
 def _row_entries(ell: int, key: RowKey) -> tuple[dict[int, int], int]:
@@ -563,94 +559,3 @@ def density_table_csv(ell_max: int) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-# --- gamma cache ------------------------------------------------------------
-
-_GAMMA_HEADER = "torusk-gamma 2"
-
-
-def _checksum(lines: list[str]) -> str:
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
-def save_gamma_cache(path: str | Path, values: dict[int, GammaValue]) -> None:
-    """One file: the header, one JSON record per ell (value, method and both
-    witnesses, so a later run re-verifies without re-solving), then a sha256
-    line over everything above it.  Written to a temporary file in the same
-    directory and moved into place, so a reader never sees a partial file."""
-    path = Path(path)
-    lines = [_GAMMA_HEADER]
-    for ell in sorted(values):
-        gv = values[ell]
-        sigma, tau = gv.witness_primal
-        lines.append(
-            json.dumps(
-                {
-                    "ell": ell,
-                    "gamma": str(gv.gamma),
-                    "method": gv.method,
-                    "sigma": [str(v) for v in sigma],
-                    "tau": [str(v) for v in tau],
-                    "dual": [[list(key), str(y)] for key, y in gv.witness_dual.multipliers],
-                }
-            )
-        )
-    lines.append(f"sha256 {_checksum(lines)}")
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def load_gamma_cache(path: str | Path) -> dict[int, GammaValue]:
-    """Load a cache written by save_gamma_cache and re-verify every record.
-    CacheError on an unreadable, malformed or checksum-failing file, a
-    repeated ell or one past LP_SIZE_BUDGET (refused before its O(ell^2)
-    check); VerificationError if a stored witness does not certify its value."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:
-        raise CacheError(f"cannot read {path}: {exc}") from exc
-    if len(lines) < 2 or lines[0] != _GAMMA_HEADER:
-        raise CacheError(f"{path}: missing or unknown header")
-    tag, _, digest = lines[-1].partition(" ")
-    if tag != "sha256" or digest != _checksum(lines[:-1]):
-        raise CacheError(f"{path}: checksum mismatch")
-    # files written by earlier solvers hold "guided" (HiGHS plus exact
-    # elimination) or "simplex" records; verify_gamma re-proves every record
-    # whatever its label
-    labels = ("northwest", "guided", "simplex")
-    out: dict[int, GammaValue] = {}
-    for n, line in enumerate(lines[1:-1], start=2):
-        try:
-            rec = json.loads(line)
-            ell = _integer_ell("load_gamma_cache", rec["ell"])  # no float, str or bool
-            g = Fraction(rec["gamma"])
-            multipliers = tuple((tuple(key), Fraction(y)) for key, y in rec["dual"])
-            gv = GammaValue(
-                ell=ell,
-                gamma=g,
-                witness_primal=(
-                    tuple(Fraction(v) for v in rec["sigma"]),
-                    tuple(Fraction(v) for v in rec["tau"]),
-                ),
-                witness_dual=LpDualWitness(ell=ell, multipliers=multipliers, value=g),
-                method=rec["method"],
-            )
-        except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
-            raise CacheError(f"{path}: bad record on line {n}") from exc
-        if not 1 <= ell <= LP_SIZE_BUDGET or ell in out or gv.method not in labels:
-            raise CacheError(f"{path}: bad record on line {n}")
-        verify_gamma(gv)
-        out[ell] = gv
-    return out
-
-
-def warm_gamma_memo(values: dict[int, GammaValue]) -> None:
-    with _gamma_lock:
-        _gamma_memo.update(values)
-
-
-def gamma_memo_snapshot() -> dict[int, GammaValue]:
-    with _gamma_lock:
-        return dict(_gamma_memo)

@@ -18,7 +18,7 @@ from torusk.bounds import (
     density_bound,
     size_bound,
 )
-from torusk.lp import gamma
+from torusk.lp import LP_SIZE_BUDGET, gamma
 
 
 def test_pi_enclosure():
@@ -101,7 +101,7 @@ def test_threshold_validation():
     with pytest.raises(ValueError):
         check_threshold_3225(h_max=3)
     with pytest.raises(ValueError):
-        check_threshold_1892(h_max=257)
+        check_threshold_1892(h_max=LP_SIZE_BUDGET + 1)
 
 
 def test_size_bound_respected_by_search():

@@ -1,4 +1,4 @@
-"""Command-line surface: outputs, exit codes, caching."""
+"""Command-line surface: outputs, exit codes, flags."""
 
 import json
 import os
@@ -23,8 +23,8 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    # the cache holds the whole memo and every load re-verifies it, so start
-    # from nothing rather than from every gamma earlier tests computed
+    # start from an empty memo, so gamma(4) is solved in the test itself
+    # rather than read back from an earlier test's solve
     monkeypatch.setattr(lp, "_gamma_memo", {})
 
 
@@ -153,7 +153,6 @@ def test_threads_below_one_is_usage_error(capsys):
     "argv",
     [
         ("--out", "OUT/result.txt", "compute", "--k", "5"),
-        ("--cache-dir", "OUT/cache", "lp-gamma", "--l", "4"),
         ("--threads", "2", "table", "--from", "3", "--to", "4"),
         ("--long", "certify-dual", "--l", "5"),
     ],
@@ -382,82 +381,11 @@ def test_out_to_missing_directory_is_usage_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-def test_cache_write_and_corruption_recovery(tmp_path, capsys, fresh_memo):
-    cache = tmp_path / "cache"
-    code, _, _ = run_cli(
-        capsys, "lp-gamma", "--lmax", "8", "--cache-dir", str(cache)
-    )
-    assert code == 0
-    gamma_file = cache / "gamma.txt"
-    assert [p.name for p in cache.iterdir()] == ["gamma.txt"]
-
-    # a clean second run stays quiet
-    code, out, err = run_cli(
-        capsys, "lp-gamma", "--l", "4", "--cache-dir", str(cache)
-    )
-    assert code == 0
-    assert out == "35/36 (0.9722)\n"
-    assert err == ""
-
-    # corruption is noticed, warned about, and recovered from
-    gamma_file.write_text(gamma_file.read_text().replace("35/36", "34/36"))
-    code, out, err = run_cli(
-        capsys, "lp-gamma", "--l", "4", "--cache-dir", str(cache)
-    )
-    assert code == 0
-    assert out == "35/36 (0.9722)\n"
-    assert "ignoring bad gamma cache" in err
-
-
-def _resign(path, edit) -> None:
-    """Edit the parsed records and rewrite the file with a matching checksum."""
-    lines = path.read_text().splitlines()
-    records = [json.loads(line) for line in lines[1:-1]]
-    edit(records)
-    body = [lines[0]] + [json.dumps(rec) for rec in records]
-    path.write_text("\n".join(body + [f"sha256 {lp._checksum(body)}"]) + "\n")
-
-
-def _bad_key(path):
-    def edit(records):
-        records[0]["dual"][0][0] = ["pair", 0, 9, 1]
-    _resign(path, edit)
-
-
-def _wrong_gamma(path):
-    def edit(records):
-        records[0]["gamma"] = "17/18"
-    _resign(path, edit)
-
-
-def _old_format(path):
-    path.write_text("torusk-gamma 1\n4 35/36\nsha256 0\n")
-
-
-@pytest.mark.parametrize("spoil", [_bad_key, _wrong_gamma, _old_format])
-def test_bad_cache_is_rebuilt(tmp_path, capsys, fresh_memo, spoil):
-    cache = tmp_path / "cache"
-    run_cli(capsys, "lp-gamma", "--l", "4", "--cache-dir", str(cache))
-    spoil(cache / "gamma.txt")
-    code, out, err = run_cli(capsys, "lp-gamma", "--l", "4", "--cache-dir", str(cache))
-    assert (code, out) == (0, "35/36 (0.9722)\n")
-    assert err.count("ignoring bad gamma cache") == 1
-    # that run rebuilt the file, so the next one loads it quietly
-    code, out, err = run_cli(capsys, "lp-gamma", "--l", "4", "--cache-dir", str(cache))
-    assert (code, out, err) == (0, "35/36 (0.9722)\n", "")
-
-
-def test_non_gamma_commands_leave_cache_alone(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "gamma.txt").write_text("not a cache\n")
-    code, out, err = run_cli(capsys, "compute", "--k", "5", "--cache-dir", str(cache))
-    assert (code, out) == (1, "")
-    assert err.startswith("usage error:")
-    monkeypatch.setenv("TORUSK_CACHE_DIR", str(cache))
-    assert run_cli(capsys, "compute", "--k", "5") == (0, "N(5) = 8\n", "")
-    assert [p.name for p in cache.iterdir()] == ["gamma.txt"]
-    assert (cache / "gamma.txt").read_text() == "not a cache\n"
+def test_cache_env_var_is_ignored(tmp_path, capsys, fresh_memo, monkeypatch):
+    # gamma is solved afresh each run and nothing reads or writes a cache
+    monkeypatch.setenv("TORUSK_CACHE_DIR", str(tmp_path))
+    assert run_cli(capsys, "lp-gamma", "--l", "4") == (0, "35/36 (0.9722)\n", "")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -466,6 +394,8 @@ def test_non_gamma_commands_leave_cache_alone(tmp_path, capsys, monkeypatch):
         ("compute", "--k", "5", "--threads", "2"),
         ("compute", "--k", "5", "--long"),
         ("oracle", "--k", "3", "--cache-dir", "OUT"),
+        ("lp-gamma", "--l", "4", "--cache-dir", "OUT"),
+        ("bounds", "--suite", "sum210", "--cache-dir", "OUT"),
         ("certify-dual", "--l", "3", "--threads", "3"),
         ("table", "--from", "3", "--to", "4", "--csv"),
         ("lp-gamma", "--l", "4", "--csv"),

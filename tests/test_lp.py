@@ -1,7 +1,6 @@
-"""gamma(ell): exact solves, witnesses, certificates, cache."""
+"""gamma(ell): exact solves, witnesses, certificates."""
 
 import hashlib
-import json
 import re
 from array import array
 from fractions import Fraction
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from lp_oracle import objective, solve_by_generation, solve_max
 from plan_mutants import PLAN_MUTANTS, patch_plan
 from torusk import lp, numtheory
-from torusk.errors import BudgetError, CacheError, VerificationError
+from torusk.errors import BudgetError, VerificationError
 from torusk.lp import (
     DualCertificate,
     GammaValue,
@@ -29,11 +28,9 @@ from torusk.lp import (
     format_round4,
     gamma,
     gamma_upper_bound,
-    load_gamma_cache,
     perturbed_dual_matrix,
     primal_objective,
     primal_witness_small,
-    save_gamma_cache,
     verify_gamma,
 )
 
@@ -846,134 +843,6 @@ def test_perturbed_needs_four():
 def test_certificate_dominates_gamma():
     for ell in range(1, 13):
         assert gamma(ell).gamma <= gamma_upper_bound(ell)
-
-
-def test_cache_roundtrip(tmp_path):
-    values = {ell: gamma(ell) for ell in range(1, 9)}
-    path = tmp_path / "gamma.txt"
-    save_gamma_cache(path, values)
-    loaded = load_gamma_cache(path)
-    assert loaded == values
-    assert [p.name for p in tmp_path.iterdir()] == ["gamma.txt"]
-
-
-def test_cache_corruption_detected(tmp_path):
-    values = {ell: gamma(ell) for ell in (4, 5)}
-    path = tmp_path / "gamma.txt"
-    save_gamma_cache(path, values)
-    text = path.read_text()
-    path.write_text(text.replace("35/36", "34/36"))
-    with pytest.raises(CacheError):
-        load_gamma_cache(path)
-
-
-def test_cache_bad_header(tmp_path):
-    path = tmp_path / "gamma.txt"
-    path.write_text("not a cache\n")
-    with pytest.raises(CacheError):
-        load_gamma_cache(path)
-    path.write_text("torusk-gamma 1\n4 35/36\nsha256 0\n")  # the older format
-    with pytest.raises(CacheError, match="header"):
-        load_gamma_cache(path)
-
-
-def resign(path, edit) -> None:
-    """Apply edit to the parsed records and rewrite the file with a
-    matching checksum, as a deliberate forger would."""
-    lines = path.read_text().splitlines()
-    records = [json.loads(line) for line in lines[1:-1]]
-    edit(records)
-    body = [lines[0]] + [json.dumps(rec) for rec in records]
-    path.write_text("\n".join(body + [f"sha256 {lp._checksum(body)}"]) + "\n")
-
-
-def _set(field, value):
-    def edit(records):
-        records[0][field] = value
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda records: records.append(records[0]),  # repeated ell
-        lambda records: records[0].pop("method"),
-        _set("method", "auto"),
-        _set("ell", 0),
-        _set("sigma", [None]),
-        _set("gamma", "1/0"),
-        _set("dual", [[7, "1"]]),
-        _set("dual", [["pair", 1, 1]]),
-        _set("ell", 4.0),
-        _set("ell", "4"),
-        _set("ell", 4.9),
-        _set("ell", True),
-        lambda records: records.__setitem__(0, [4]),
-    ],
-)
-def test_cache_malformed_record(tmp_path, edit):
-    path = tmp_path / "gamma.txt"
-    save_gamma_cache(path, {ell: gamma(ell) for ell in (4, 5)})
-    resign(path, edit)
-    with pytest.raises(CacheError):
-        load_gamma_cache(path)
-
-
-def test_cache_loads_simplex_records(tmp_path):
-    # files written by earlier solvers can hold records labelled "simplex"
-    # or "guided"; they load and are verified like the rest
-    path = tmp_path / "gamma.txt"
-    save_gamma_cache(path, {4: gamma(4), 5: gamma(5), 7: solve_by_generation(7)})
-
-    def relabel(records):
-        records[0]["method"], records[1]["method"] = "simplex", "guided"
-
-    resign(path, relabel)
-    loaded = load_gamma_cache(path)
-    assert [loaded[ell].method for ell in (4, 5, 7)] == ["simplex", "guided", "simplex"]
-    assert {ell: gv.gamma for ell, gv in loaded.items()} == {
-        ell: gamma(ell).gamma for ell in (4, 5, 7)
-    }
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        _set("gamma", "17/18"),
-        _set("dual", [[["pair", 0, 9, 1], "1"]]),
-        _set("dual", [[["pair", -3, 1, -1], "1"]]),
-    ],
-)
-def test_cache_resigned_forgery_fails_verification(tmp_path, edit):
-    path = tmp_path / "gamma.txt"
-    save_gamma_cache(path, {4: gamma(4)})
-    resign(path, edit)
-    with pytest.raises(VerificationError):
-        load_gamma_cache(path)
-
-
-def test_cache_refuses_an_ell_past_the_budget_before_verifying(tmp_path, monkeypatch):
-    """A re-signed record with a huge ell would cost an O(ell^2) primal
-    check; the loader refuses it by its ell alone."""
-    path = tmp_path / "gamma.txt"
-    save_gamma_cache(path, {4: gamma(4)})
-    big = LP_SIZE_BUDGET + 1
-
-    def huge(records):
-        records[0].update(ell=big, sigma=["0"] * big, tau=["1"] * big)
-
-    resign(path, huge)
-    monkeypatch.setattr(lp, "verify_gamma", mock.Mock(side_effect=AssertionError))
-    with pytest.raises(CacheError, match="bad record on line 2"):
-        load_gamma_cache(path)
-    lp.verify_gamma.assert_not_called()
-
-
-def test_cache_resigned_halved_gamma_rejected(tmp_path):
-    path = tmp_path / "gamma.txt"
-    save_gamma_cache(path, {5: _halved(gamma(5))})  # saving does not verify
-    with pytest.raises(VerificationError, match="not a row"):
-        load_gamma_cache(path)
 
 
 def test_format_round4():
