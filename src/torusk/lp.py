@@ -18,12 +18,13 @@ u_i = sigma_i / i and v_j = tau_j / j, and the dual of the band relaxation
 i + j >= ell + 1, the support of dual_matrix) becomes a transportation
 problem with cost 1/(ij).  In ascending i and descending j that cost array
 is Monge and the forbidden cells form a staircase, so the northwest-corner
-plan is an optimal dual, and potentials along its staircase give the
-primal point (see _solve_northwest).  The pair is accepted only if primal
-feasibility over every row of LP(ell), dual feasibility and equality of
-objectives all verify exactly; any failure raises VerificationError.  The
-tests compare this path against an exact simplex with constraint
-generation, kept with them as the oracle.
+plan, integer flows f on cells (i, j), is an optimal dual, and potentials
+along its staircase give the primal point (see _solve_northwest).  The pair
+is accepted only if primal feasibility over every row of LP(ell), the
+plan's row and column sums (check_dual) and equality of objectives all
+verify exactly; any failure raises VerificationError.  The tests compare
+this path against an exact simplex with constraint generation, kept with
+them as the oracle.
 
 A separate, solver-independent upper bound comes from explicit matrices
 feasible for the dual of the relaxed program: dual_matrix(ell) has value
@@ -49,37 +50,20 @@ ONE = Fraction(1)
 
 LP_SIZE_BUDGET = 256  # largest ell the solver will accept
 
-# Row keys: ("link", i) is sigma_i - tau_i <= 0;
-# ("pair", i, j, s) is s * (i * tau_j - j * sigma_i) <= 1 with s = +-1.
-RowKey = tuple
-
-
-@dataclass(frozen=True)
-class LpDualWitness:
-    """Exact multipliers for the inequality rows of LP(ell), supported on
-    finitely many rows; value = sum of multipliers times right-hand sides."""
-
-    ell: int
-    multipliers: tuple[tuple[RowKey, Fraction], ...]
-    value: Fraction
-
 
 @dataclass(frozen=True)
 class GammaValue:
+    """gamma(ell) with its witnesses: a point of LP(ell) with objective
+    gamma, and the northwest plan, whose value sum f / (ij) is gamma.
+    method is always "northwest"; it stays only because
+    perfbench/workloads.py reads it, until the benchmark harness (ROADMAP
+    aim 1) stops doing so."""
+
     ell: int
     gamma: Fraction
     witness_primal: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]  # (sigma, tau)
-    witness_dual: LpDualWitness | None
-    method: str  # "northwest": the only solve path
-
-
-def _row_entries(ell: int, key: RowKey) -> tuple[dict[int, int], int]:
-    """The row's two nonzero coefficients by column, and its right-hand side."""
-    if key[0] == "link":
-        i = key[1]
-        return {i - 1: 1, ell + i - 1: -1}, 0
-    _, i, j, s = key
-    return {ell + j - 1: s * i, i - 1: -s * j}, 1
+    witness_dual: tuple[tuple[int, int, int], ...]  # the plan's cells (i, j, f)
+    method: str
 
 
 def _scaled(values) -> tuple[list[int], int]:
@@ -125,66 +109,56 @@ def primal_objective(ell: int, sigma, tau) -> Fraction:
     return Fraction(total, big * span)
 
 
-def _is_row_key(ell: int, key) -> bool:
-    """Whether key names a row of LP(ell): ("link", i) or ("pair", i, j, s)
-    with 1 <= i, j <= ell and s = +-1, all plain ints."""
-    if not isinstance(key, tuple) or not key:
-        return False
-    if key[0] == "link" and len(key) == 2:
-        indices = key[1:]
-    elif key[0] == "pair" and len(key) == 4 and type(key[3]) is int and key[3] in (1, -1):
-        indices = key[1:3]
-    else:
-        return False
-    return all(type(i) is int and 1 <= i <= ell for i in indices)
+def check_dual(ell: int, plan) -> str | None:
+    """None if the cells (i, j, f) of plan are a feasible dual for LP(ell),
+    else a description of the first failure: every cell a tuple of three
+    plain ints with 1 <= i, j <= ell, every f >= 0, row i shipping at most
+    phi(i) and column j taking at least phi(j).  It is the rule
+    DualCertificate.verify checks on a dense matrix, read from sparse cells.
 
-
-def check_dual(ell: int, witness: LpDualWitness) -> str | None:
-    """None if the multipliers certify value >= optimum (dual feasibility).
-    Every key must name a row of LP(ell); anything else is rejected, so a
-    witness read from outside the program cannot index past the columns or
-    scale a row.  The multipliers are scaled to integers over D, the lcm of
-    their denominators, so column idx of y^T A is col[idx] / D and the
-    bound col / D >= +-rho(i) reads col * i >= +-phi(i) * D."""
-    for key, y in witness.multipliers:
-        if not _is_row_key(ell, key):
-            return f"not a row of LP({ell}): {key!r}"
-        if y < 0:
-            return f"negative multiplier on {key}"
-    scaled, big = _scaled([y for _, y in witness.multipliers])
-    col = [0] * (2 * ell)  # D * (y^T A) per structural column
-    value = 0
-    for (key, _), y in zip(witness.multipliers, scaled):
-        entries, rhs = _row_entries(ell, key)
-        for idx, a in entries.items():
-            col[idx] += y * a
-        value += y * rhs
+    Any cell, in the band or not, names the row i tau_j - j sigma_i <= 1 of
+    LP(ell); put the multiplier f / (ij) on it.  Column tau_j of y^T A is then
+    sum_i i f / (ij) = (column j sum) / j >= phi(j) / j = rho(j), and column
+    sigma_i is -sum_j j f / (ij) = -(row i sum) / i >= -rho(i): dual
+    feasibility, so the value sum f / (ij) is at least gamma(ell)."""
+    rows = [0] * (ell + 1)
+    cols = [0] * (ell + 1)
+    for cell in plan:
+        if (type(cell) is not tuple or list(map(type, cell)) != [int, int, int]
+                or not (1 <= cell[0] <= ell and 1 <= cell[1] <= ell)):
+            return f"not a cell (i, j, f) of LP({ell}): {cell!r}"
+        i, j, f = cell
+        if f < 0:
+            return f"negative flow at ({i}, {j})"
+        rows[i] += f
+        cols[j] += f
     phi = numtheory.totients(ell)
-    for idx in range(2 * ell):
-        i = idx % ell + 1
-        bound = phi[i] * big if idx >= ell else -phi[i] * big
-        if col[idx] * i < bound:
-            return f"dual infeasible at column {idx}"
-    stated = witness.value
-    if value * stated.denominator != stated.numerator * big:
-        return "stated value does not match multipliers"
+    for i in range(1, ell + 1):
+        if rows[i] > phi[i]:
+            return f"row {i} sum exceeds phi({i})"
+    for j in range(1, ell + 1):
+        if cols[j] < phi[j]:
+            return f"column {j} sum below phi({j})"
     return None
 
 
 def verify_gamma(gv: GammaValue) -> None:
-    """Raise VerificationError unless the witnesses prove gamma exactly."""
+    """Raise VerificationError unless the witnesses prove gamma exactly: the
+    primal point is feasible with objective gamma, and the plan is a
+    feasible dual whose value sum f (L/i) (L/j) / L^2, L = lcm(1..ell), is
+    gamma too."""
     sigma, tau = gv.witness_primal
     problem = check_primal(gv.ell, sigma, tau)
     if problem is not None:
         raise VerificationError(f"gamma({gv.ell}): primal witness infeasible: {problem}")
     if primal_objective(gv.ell, sigma, tau) != gv.gamma:
         raise VerificationError(f"gamma({gv.ell}): primal objective mismatch")
-    if gv.witness_dual is None:
-        raise VerificationError(f"gamma({gv.ell}): no dual witness")
     problem = check_dual(gv.ell, gv.witness_dual)
     if problem is not None:
         raise VerificationError(f"gamma({gv.ell}): dual witness rejected: {problem}")
-    if gv.witness_dual.value != gv.gamma:
+    big = lcm(*range(1, gv.ell + 1))
+    total = sum(f * (big // i) * (big // j) for i, j, f in gv.witness_dual)
+    if total * gv.gamma.denominator != gv.gamma.numerator * big * big:
         raise VerificationError(f"gamma({gv.ell}): duality gap")
 
 
@@ -252,7 +226,7 @@ def _solve_northwest(ell: int) -> GammaValue:
     problem: row i ships phi(i), column j takes phi(j), a unit on (i, j)
     costs 1/(ij), only the band cells may carry flow, and the total cost
     is minimised.  A flow f on
-    (i, j) is the multiplier f/(ij) on ("pair", i, j, 1).
+    (i, j) is the multiplier f/(ij) on the row (i, j) (see check_dual).
 
     With rows in ascending i and columns in descending j the cost array is
     Monge: for i < i' and j > j',
@@ -271,14 +245,11 @@ def _solve_northwest(ell: int) -> GammaValue:
     u, v = _staircase_potentials(ell, cells)
     sigma = tuple(i * u[i] for i in range(1, ell + 1))
     tau = tuple(j * v[j] for j in range(1, ell + 1))
-    multipliers = tuple((("pair", i, j, 1), Fraction(f, i * j)) for i, j, f in cells if f)
-    nums, big = _scaled([y for _, y in multipliers])
-    value = Fraction(sum(nums), big)
     gv = GammaValue(
         ell=ell,
         gamma=primal_objective(ell, sigma, tau),
         witness_primal=(sigma, tau),
-        witness_dual=LpDualWitness(ell=ell, multipliers=multipliers, value=value),
+        witness_dual=tuple(cells),
         method="northwest",
     )
     verify_gamma(gv)
@@ -356,8 +327,10 @@ class DualCertificate:
     """A non-negative integer matrix feasible for the transposed program:
     row i sums to at most phi(i), column j collects at least phi(j).  Its
     value sum_{i,j} a[i][j] / (i * j) is an upper bound for gamma(ell).
-    The value is computed on its first read and kept, outside ==, hash and
-    repr; verify() checks the matrix afresh on every call."""
+    check_dual applies the same rule to gamma's plan, held as sparse cells
+    (i, j, f) instead of a dense matrix.  The value is computed on its first
+    read and kept, outside ==, hash and repr; verify() checks the matrix
+    afresh on every call."""
 
     ell: int
     matrix: tuple[tuple[int, ...], ...]
@@ -548,6 +521,9 @@ def density_table_csv(ell_max: int) -> str:
     """CSV of rho, alpha, gamma, beta rounded to 4 decimals, ell = 1..ell_max,
     gamma from gamma(ell); BudgetError before any solve if ell_max is past
     LP_SIZE_BUDGET."""
+    ell_max = _integer_ell("density_table_csv", ell_max)
+    if ell_max < 1:
+        raise ValueError(f"density_table_csv needs ell_max >= 1, got {ell_max}")
     _check_budget(ell_max)
     lines = ["ell,rho,alpha,gamma,beta"]
     for ell in range(1, ell_max + 1):

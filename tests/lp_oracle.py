@@ -10,18 +10,23 @@ Pivoting uses Dantzig's rule (largest reduced cost) while the objective is
 moving and switches permanently to Bland's rule after a run of degenerate
 pivots; Bland's rule cannot cycle, so termination is unconditional.
 
-The program answers gamma(ell) with lp._solve_northwest alone; the tests
-compare that path against solve_by_generation, which shares only the row
-definitions and verify_gamma with it.
+The program answers gamma(ell) with lp._solve_northwest alone, whose dual
+witness is an integer transport plan.  The tests compare that path against
+solve_by_generation, whose duals are general multipliers on the rows of
+LP(ell): links and both signs of the pair rows, keyed as below.  It shares
+only check_primal with the program; its multipliers are checked here, by
+fraction_check_dual, against y^T A >= c in Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from torusk import numtheory
-from torusk.lp import GammaValue, LpDualWitness, RowKey, _row_entries, verify_gamma
+from torusk.errors import VerificationError
+from torusk.lp import check_primal
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -29,6 +34,20 @@ ONE = Fraction(1)
 # Consecutive pivots without objective progress before Bland's rule takes over.
 STALL_LIMIT = 12
 GEN_BATCH = 2  # violated rows added per round, as a multiple of ell
+
+
+# Row keys: ("link", i) is sigma_i - tau_i <= 0;
+# ("pair", i, j, s) is s * (i * tau_j - j * sigma_i) <= 1 with s = +-1.
+RowKey = tuple
+
+
+def row_entries(ell: int, key: RowKey) -> tuple[dict[int, int], int]:
+    """The row's two nonzero coefficients by column, and its right-hand side."""
+    if key[0] == "link":
+        i = key[1]
+        return {i - 1: 1, ell + i - 1: -1}, 0
+    _, i, j, s = key
+    return {ell + j - 1: s * i, i - 1: -s * j}, 1
 
 
 class Unbounded(Exception):
@@ -146,7 +165,55 @@ def objective(ell: int) -> list[Fraction]:
     return [-r for r in rhos] + rhos
 
 
-def solve_by_generation(ell: int) -> GammaValue:
+def fraction_check_dual(ell: int, multipliers) -> str | None:
+    """None if the multipliers (key, y) are feasible for the dual of LP(ell),
+    else the first failure: a key that is not a row of LP(ell), a y < 0, or
+    a column where y^T A, summed in Fractions, falls below the cost c."""
+    col = [ZERO] * (2 * ell)
+    for key, y in multipliers:
+        indices = key[1:2] if key[0] == "link" else key[1:3]
+        if not all(1 <= x <= ell for x in indices):
+            return f"not a row of LP({ell}): {key!r}"
+        if y < 0:
+            return f"negative multiplier on {key}"
+        for idx, a in row_entries(ell, key)[0].items():
+            col[idx] += a * y
+    for idx, (total, c) in enumerate(zip(col, objective(ell))):
+        if total < c:
+            return f"dual infeasible at column {idx}"
+    return None
+
+
+@dataclass(frozen=True)
+class SimplexGamma:
+    """gamma(ell) from the simplex, with its primal point and its general
+    dual: multipliers on rows of LP(ell), zero on every row not listed."""
+
+    ell: int
+    gamma: Fraction
+    witness_primal: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]  # (sigma, tau)
+    multipliers: tuple[tuple[RowKey, Fraction], ...]
+
+
+def verify_simplex_gamma(sg: SimplexGamma) -> None:
+    """Raise VerificationError unless the witnesses prove gamma: check_primal
+    accepts the point and c.x = gamma, fraction_check_dual accepts the
+    multipliers and y.b = gamma."""
+    ell = sg.ell
+    sigma, tau = sg.witness_primal
+    problem = check_primal(ell, sigma, tau)
+    if problem is None and sum(map(mul, objective(ell), (*sigma, *tau))) != sg.gamma:
+        problem = "primal objective mismatch"
+    if problem is None:
+        problem = fraction_check_dual(ell, sg.multipliers)
+    value = sum(y * row_entries(ell, key)[1] for key, y in sg.multipliers)
+    if problem is None and value != sg.gamma:
+        problem = "duality gap"
+    if problem is not None:
+        raise VerificationError(f"simplex gamma({ell}): {problem}")
+
+
+def solve_by_generation(ell: int) -> SimplexGamma:
     """gamma(ell) by the exact simplex over a growing working set of rows.
 
     The initial rows (links and diagonal pairs) already bound the objective:
@@ -155,15 +222,14 @@ def solve_by_generation(ell: int) -> GammaValue:
     unbounded.  At each round every violated pair constraint is found by an
     exact scan; when none remain the incumbent is optimal for the full
     program and the working-set multipliers (zero elsewhere) are dual
-    feasible for it.  The result carries method "simplex" and has passed
-    verify_gamma.
+    feasible for it.  The result has passed verify_simplex_gamma.
     """
     cvec = objective(ell)
     work: list[RowKey] = [("link", i) for i in range(1, ell + 1)]
     work += [("pair", i, i, 1) for i in range(1, ell + 1)]
     known = set(work)
     while True:
-        rows = [_row_entries(ell, key) for key in work]
+        rows = [row_entries(ell, key) for key in work]
         dense = [[entries.get(idx, 0) for idx in range(2 * ell)] for entries, _ in rows]
         sol = solve_max(cvec, dense, [b for _, b in rows])
         sigma = sol.x[:ell]
@@ -183,13 +249,11 @@ def solve_by_generation(ell: int) -> GammaValue:
         for _, key in violated[: GEN_BATCH * ell]:
             work.append(key)
             known.add(key)
-    multipliers = tuple((key, y) for key, y in zip(work, sol.duals) if y != 0)
-    gv = GammaValue(
+    sg = SimplexGamma(
         ell=ell,
         gamma=sol.objective,
         witness_primal=(tuple(sigma), tuple(tau)),
-        witness_dual=LpDualWitness(ell=ell, multipliers=multipliers, value=sol.objective),
-        method="simplex",
+        multipliers=tuple((key, y) for key, y in zip(work, sol.duals) if y != 0),
     )
-    verify_gamma(gv)
-    return gv
+    verify_simplex_gamma(sg)
+    return sg

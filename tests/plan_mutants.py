@@ -35,7 +35,7 @@ def _unshifted(potentials):
 PLAN_MUTANTS = {
     # mutant: (attribute it wraps, wrapper, verify_gamma's message at ell = 4)
     "moved-unit": ("_northwest_plan", _moved_unit,
-                   "dual witness rejected: dual infeasible at column 3"),
+                   "dual witness rejected: row 4 sum exceeds phi(4)"),
     "zero-cell-dropped": ("_northwest_plan", _zero_cells_dropped,
                           "primal witness infeasible: |3 tau_4 - 4 sigma_3| = |4/3| > 1"),
     "unshifted": ("_staircase_potentials", _unshifted,

@@ -410,7 +410,7 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, arg
     assert list(tmp_path.iterdir()) == []
 
 
-def test_guided_failure_exits_two_and_memoizes_nothing(capsys, fresh_memo, monkeypatch):
+def test_northwest_failure_exits_two_and_memoizes_nothing(capsys, fresh_memo, monkeypatch):
     # each mutant of the northwest plan or its potentials fails verify_gamma
     # for gamma(4), and there is no fallback to hide it
     for mutant, (_, _, message) in PLAN_MUTANTS.items():

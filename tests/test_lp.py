@@ -10,7 +10,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lp_oracle import objective, solve_by_generation, solve_max
+from lp_oracle import (
+    SimplexGamma,
+    fraction_check_dual,
+    objective,
+    row_entries,
+    solve_by_generation,
+    solve_max,
+    verify_simplex_gamma,
+)
 from plan_mutants import PLAN_MUTANTS, patch_plan
 from torusk import lp, numtheory
 from torusk.errors import BudgetError, VerificationError
@@ -18,7 +26,6 @@ from torusk.lp import (
     DualCertificate,
     GammaValue,
     LP_SIZE_BUDGET,
-    LpDualWitness,
     _dual_rows,
     _solve_northwest,
     check_dual,
@@ -146,66 +153,50 @@ def test_objective_matches_rho():
         assert objective(ell) == [-r for r in rhos[:ell]] + rhos[:ell], ell
 
 
-def fraction_check_dual(ell, witness):
-    """Oracle for check_dual: the same checks and messages, with y^T A
-    accumulated in Fractions and compared with +-rho(i) directly."""
-    col = [Fraction(0)] * (2 * ell)
-    value = Fraction(0)
-    for key, y in witness.multipliers:
-        if not lp._is_row_key(ell, key):
-            return f"not a row of LP({ell}): {key!r}"
-        if y < 0:
-            return f"negative multiplier on {key}"
-        if key[0] == "link":
-            col[key[1] - 1] += y
-            col[ell + key[1] - 1] -= y
-        else:
-            _, i, j, sign = key
-            col[ell + j - 1] += sign * i * y
-            col[i - 1] -= sign * j * y
-            value += y
-    for idx in range(2 * ell):
-        rho = numtheory.rho(idx % ell + 1)
-        if col[idx] < (rho if idx >= ell else -rho):
-            return f"dual infeasible at column {idx}"
-    if value != witness.value:
-        return "stated value does not match multipliers"
-    return None
+def plan_multipliers(plan):
+    """The plan's cells as multipliers f / (ij) on the pair rows of LP(ell);
+    a cell with i or j = 0 names no row and keeps f, unscaled."""
+    return [(("pair", i, j, 1), Fraction(f, i * j or 1)) for i, j, f in plan]
 
 
 @st.composite
-def dual_witnesses(draw):
-    """(ell, witness): gamma(ell)'s own multipliers, which are dual feasible
-    and tight on every column where its vertex is nonzero, sometimes with
-    one multiplier moved (possibly below zero); or random multipliers on
-    random rows of LP(ell).  The stated value is the true one or a little
-    off."""
-    ell = draw(st.integers(1, 8))
+def dual_plans(draw):
+    """(ell, plan): gamma(ell)'s plan, which is dual feasible with every row
+    and column sum exactly phi, sometimes with one unit moved to another
+    cell, one flow made negative, or a unit swapped between two cells
+    (i, j), (i', j') and (i, j'), (i', j), which keeps every sum and may
+    leave the band; or random cells in and off the band, a few with an
+    index past 1..ell."""
+    ell = draw(st.integers(1, 10))
     if draw(st.booleans()):
-        multipliers = list(gamma(ell).witness_dual.multipliers)
-        if draw(st.booleans()):
-            k = draw(st.integers(0, len(multipliers) - 1))
-            key, y = multipliers[k]
-            multipliers[k] = (key, y + draw(st.fractions(-1, 1, max_denominator=20)))
+        plan = list(gamma(ell).witness_dual)
+        edit = draw(st.sampled_from(["none", "move", "negate", "swap"]))
+        k, k2 = (draw(st.integers(0, len(plan) - 1)) for _ in range(2))
+        i, j, f = plan[k]
+        if edit == "move":
+            plan[k] = (i, j, f - 1)
+            plan.append((draw(st.integers(1, ell)), draw(st.integers(1, ell)), 1))
+        elif edit == "negate":
+            plan[k] = (i, j, -draw(st.integers(1, 3)))
+        elif edit == "swap":
+            i2, j2, f2 = plan[k2]
+            plan[k], plan[k2] = (i, j, f - 1), (i2, j2, f2 - 1)
+            plan += [(i, j2, 1), (i2, j, 1)]
     else:
-        rows = st.builds(lambda i: ("link", i), st.integers(1, ell)) | st.builds(
-            lambda i, j, sign: ("pair", i, j, sign),
-            st.integers(1, ell),
-            st.integers(1, ell),
-            st.sampled_from((1, -1)),
-        )
-        y = st.integers(0, 3) | st.fractions(-1, 3, max_denominator=30)
-        multipliers = draw(st.lists(st.tuples(rows, y), max_size=3 * ell))
-    value = sum((y for key, y in multipliers if key[0] == "pair"), Fraction(0))
-    value += draw(st.sampled_from((0, 0, Fraction(1, 7), Fraction(-1, 1000))))
-    return ell, LpDualWitness(ell=ell, multipliers=tuple(multipliers), value=value)
+        cell = st.tuples(st.integers(1, ell), st.integers(1, ell), st.integers(0, 3))
+        odd = st.tuples(st.integers(0, ell + 1), st.integers(0, ell + 1), st.integers(-1, 3))
+        plan = draw(st.lists(cell | odd, max_size=3 * ell))
+    return ell, tuple(plan)
 
 
-@given(dual_witnesses())
+@given(dual_plans())
 @settings(max_examples=400, deadline=None)
 def test_check_dual_matches_fraction_reference(case):
-    ell, witness = case
-    assert check_dual(ell, witness) == fraction_check_dual(ell, witness)
+    # check_dual's integer row and column sums against y^T A >= c with
+    # y = f / (ij) on the pair rows, accumulated in Fractions
+    ell, plan = case
+    want = fraction_check_dual(ell, plan_multipliers(plan))
+    assert (check_dual(ell, plan) is None) == (want is None), want
 
 
 def _upper_violation(ell, i0, j0):
@@ -273,12 +264,12 @@ def test_band_rows_imply_every_row():
             ("pair", i, j, 1) for i in range(1, ell + 1) for j in range(1, ell + 1)
             if i + j >= ell + 1
         ]
-        rows = [lp._row_entries(ell, key) for key in band]
+        rows = [row_entries(ell, key) for key in band]
         dense = [[entries.get(idx, 0) for idx in range(n)] for entries, _ in rows]
         for i in range(1, ell + 1):
             for j in range(1, ell + 1):
                 for sign in (1, -1):
-                    entries, _ = lp._row_entries(ell, ("pair", i, j, sign))
+                    entries, _ = row_entries(ell, ("pair", i, j, sign))
                     c = [entries.get(idx, 0) for idx in range(n)]
                     best = solve_max(c, dense, [b for _, b in rows]).objective
                     assert best <= 1, (ell, i, j, sign)
@@ -303,20 +294,15 @@ def test_tampered_gamma_rejected():
 
 
 def _halved(gv: GammaValue) -> GammaValue:
-    """Half the primal point, and pair rows scaled by 2 with half the
-    multiplier: the doubled rows are not rows of LP(ell), and they make the
-    halved value look optimal."""
+    """Half the primal point, and half of every flow: the halved plan has
+    half the value, as a halved primal point would need to look optimal,
+    and its flows are Fractions, not flows of integer units."""
     sigma, tau = gv.witness_primal
-    multipliers = tuple(
-        (("pair", key[1], key[2], 2 * key[3]), y / 2) if key[0] == "pair" else (key, y)
-        for key, y in gv.witness_dual.multipliers
-    )
-    g = gv.gamma / 2
     return GammaValue(
         ell=gv.ell,
-        gamma=g,
+        gamma=gv.gamma / 2,
         witness_primal=(tuple(v / 2 for v in sigma), tuple(v / 2 for v in tau)),
-        witness_dual=LpDualWitness(ell=gv.ell, multipliers=multipliers, value=g),
+        witness_dual=tuple((i, j, Fraction(f, 2)) for i, j, f in gv.witness_dual),
         method=gv.method,
     )
 
@@ -325,38 +311,44 @@ def _halved(gv: GammaValue) -> GammaValue:
 def test_halved_gamma_forgery_rejected(ell):
     forged = _halved(gamma(ell))
     assert forged.gamma < gamma(ell).gamma
-    with pytest.raises(VerificationError, match="not a row"):
+    with pytest.raises(VerificationError, match=r"dual witness rejected: not a cell"):
         verify_gamma(forged)
 
 
 @pytest.mark.parametrize(
     "key",
     [
-        ("zzz", 1, 1, 1),
-        ("pair", -3, 1, -1),
-        ("pair", 0, 9, 1),
-        ("pair", 1, 5, 1),
-        ("pair", 1, 1, 2),
-        ("pair", 1, 1, 0),
-        ("pair", 1, 1, True),
-        ("pair", 1.0, 1, 1),
-        ("pair", 1, 1),
-        ("link", 0),
-        ("link", 5),
-        ("link", -1),
-        ("link", 1, 1),
-        ("link", "1"),
-        (),
+        (0, 4, 1),
+        (4, 0, 1),
+        (5, 1, 1),
+        (1, 5, 1),
+        (-1, 4, 1),
+        (2, 3, -1),
+        (4, 1, -1),
+        (True, 4, 1),
+        (1, 4, True),
+        (1.0, 4, 1),
+        (1, 4, 0.5),
+        (Fraction(1), 4, 1),
+        (1, 4, Fraction(1, 2)),
+        (1, 4),
+        [1, 4, 1],
         7,
+        (1, 4, 1, 1),
+        (),
     ],
 )
 def test_check_dual_rejects_malformed_keys(key):
+    # a cell (i, j, f) keys the row i tau_j - j sigma_i <= 1 of LP(4); one
+    # that is not three plain ints with 1 <= i, j <= 4 and f >= 0 is
+    # rejected, even with zero or negative flow
     gv = gamma(4)
     assert check_dual(4, gv.witness_dual) is None
-    witness = LpDualWitness(
-        ell=4, multipliers=gv.witness_dual.multipliers + ((key, Fraction(0)),), value=gv.gamma
-    )
-    assert "not a row" in check_dual(4, witness)
+    problem = check_dual(4, gv.witness_dual + (key,))
+    if key in ((2, 3, -1), (4, 1, -1)):
+        assert problem == f"negative flow at ({key[0]}, {key[1]})"
+    else:
+        assert problem == f"not a cell (i, j, f) of LP(4): {key!r}"
 
 
 def test_gamma_budget(monkeypatch):
@@ -375,21 +367,41 @@ def test_gamma_monotone_nonincreasing_is_false():
     assert gamma(5).gamma > gamma(4).gamma
 
 
-def test_guided_matches_simplex():
+def test_northwest_matches_simplex():
     # the northwest path against the exact simplex of the tests: the same
-    # value, and both witnesses verify (they need not be the same vertex)
+    # value, each certified by its own dual (a plan, general multipliers)
     for ell in (*range(1, 14), 26):
         a = solve_by_generation(ell)
         b = _solve_northwest(ell)
         assert a.gamma == b.gamma, ell
-        verify_gamma(a)
+        verify_simplex_gamma(a)
         verify_gamma(b)
 
 
-def test_guided_never_falls_back(monkeypatch):
-    monkeypatch.setattr(lp, "_gamma_memo", {})  # a warm memo would skip the solves
+def test_simplex_oracle_rejects_tampered_witnesses():
+    sg = solve_by_generation(6)
+    (key, y), *rest = sg.multipliers
+    forged = [
+        SimplexGamma(sg.ell, sg.gamma + Fraction(1, 1000), sg.witness_primal, sg.multipliers),
+        SimplexGamma(sg.ell, sg.gamma, sg.witness_primal, (*rest, (key, y / 2))),
+        SimplexGamma(sg.ell, sg.gamma, sg.witness_primal, (*rest, (key, -y))),
+    ]
+    for bad in forged:
+        with pytest.raises(VerificationError, match=r"^simplex gamma\(6\): "):
+            verify_simplex_gamma(bad)
+
+
+def test_plan_is_a_dual_certificate():
+    # the sparse rule (check_dual) and the dense byte-packed one
+    # (DualCertificate.verify) accept the same plan, at the same value
     for ell in range(1, 61):
-        assert gamma(ell).method == "northwest", ell
+        gv = gamma(ell)
+        matrix = [[0] * ell for _ in range(ell)]
+        for i, j, f in gv.witness_dual:
+            matrix[i - 1][j - 1] += f
+        cert = DualCertificate(ell=ell, matrix=tuple(map(tuple, matrix)))
+        cert.verify()
+        assert cert.value == gv.gamma, ell
 
 
 # sha256 of "\n".join(str(gamma(ell).gamma) for ell = 1..256), computed with
@@ -416,7 +428,7 @@ def test_northwest_over_the_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [4, 9])
-def test_unverified_guided_candidate_raises(monkeypatch, ell):
+def test_unverified_northwest_candidate_raises(monkeypatch, ell):
     # every plan mutant fails verify_gamma, whose message reaches the
     # caller unchanged (test_cli pins the ell = 4 messages), and gamma
     # memoizes nothing
@@ -432,7 +444,7 @@ def test_unverified_guided_candidate_raises(monkeypatch, ell):
     assert lp._gamma_memo == {}
 
 
-def test_guided_duality_gap_reaches_caller(monkeypatch):
+def test_northwest_duality_gap_reaches_caller(monkeypatch):
     # a primal value off by 1/100 passes every check but the last
     real = lp.primal_objective
     monkeypatch.setattr(lp, "primal_objective", lambda *args: real(*args) + Fraction(1, 100))
@@ -451,7 +463,7 @@ def test_plan_outside_the_band_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [5, 40])
-def test_guided_solve_writes_nothing(monkeypatch, capfd, ell):
+def test_northwest_solve_writes_nothing(monkeypatch, capfd, ell):
     """Anything a solve wrote to fds 1 or 2 would corrupt --json output; a
     cold solve must leave them untouched."""
     monkeypatch.setattr(lp, "_gamma_memo", {})
@@ -461,13 +473,23 @@ def test_guided_solve_writes_nothing(monkeypatch, capfd, ell):
 
 
 @pytest.mark.parametrize(
-    "entry", [gamma, dual_matrix, perturbed_dual_matrix, gamma_upper_bound],
+    "entry", [gamma, dual_matrix, perturbed_dual_matrix, gamma_upper_bound, density_table_csv],
     ids=lambda f: f.__name__,
 )
 @pytest.mark.parametrize("bad", [5.0, True, "5", None], ids=repr)
 def test_ell_must_be_an_integer(entry, bad):
     want = f"{entry.__name__} needs an integer ell, got {bad!r}"
     with pytest.raises(TypeError, match=re.escape(want)):
+        entry(bad)
+
+
+@pytest.mark.parametrize(
+    "entry", [gamma, dual_matrix, gamma_upper_bound, density_table_csv],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("bad", [0, -3])
+def test_ell_must_be_positive(entry, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{entry.__name__} needs ell")):
         entry(bad)
 
 
