@@ -207,8 +207,8 @@ def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
         raise _UsageError("certify-dual needs --l >= 1")
     if args.perturbed and ell < 4:
         raise _UsageError(f"certify-dual --perturbed needs --l >= 4, got --l {ell}")
-    # memory grows with ell^2: at the budget the process peaks at about 77 MB
-    # of RSS (108 MB with --json; Python 3.11, x86-64)
+    # memory grows with ell^2 (one byte per entry): at the budget the process
+    # peaks at about 48 MB of RSS (79 MB with --json; Python 3.11, x86-64)
     if ell > CERTIFY_BUDGET and not args.long_mode:
         raise BudgetError(f"certify-dual --l {ell} exceeds {CERTIFY_BUDGET}; pass --long")
     # the constructor verifies the matrix and checks its value, which is kept

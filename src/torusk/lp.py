@@ -327,13 +327,13 @@ class DualCertificate:
     """A non-negative integer matrix feasible for the transposed program:
     row i sums to at most phi(i), column j collects at least phi(j).  Its
     value sum_{i,j} a[i][j] / (i * j) is an upper bound for gamma(ell).
-    check_dual applies the same rule to gamma's plan, held as sparse cells
-    (i, j, f) instead of a dense matrix.  The value is computed on its first
-    read and kept, outside ==, hash and repr; verify() checks the matrix
-    afresh on every call."""
+    check_dual applies the same rule to gamma's plan of sparse cells.  The
+    library's rows are bytes (so == tells them from tuple rows); tuple, list
+    and array rows are read too.  The value is kept from its first read,
+    outside ==, hash and repr; verify() checks the matrix on every call."""
 
     ell: int
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: tuple[bytes | tuple[int, ...], ...]
     _value: Fraction | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -360,17 +360,17 @@ class DualCertificate:
         >= phi(j), reporting the first failing row, then column; every entry
         is read again on every call.
 
-        bytes() of a tuple succeeds only when every entry is an int in
-        0..255, so it proves a row non-negative at once; a row it rejects
-        (or one that is not a tuple: bytes() of a buffer such as an
-        array.array copies its raw memory) is scanned with min().  When
-        every row converted, P = sum of the rows read as little-endian
-        base-256 integers holds the column sums c_j in lanes j = 1..ell,
-        carries aside.  A carry takes 256 from one lane and adds 1 to the
-        next, and 256 = 1 (mod 255), so each one lowers the digit sum of P
-        by exactly 255: the ell digits of P are the column sums exactly
-        when P fits in ell lanes and its digits add up to the total of the
-        row sums.  Otherwise the columns are summed one by one."""
+        A bytes row holds 0..255 by construction, and bytes() of a tuple
+        succeeds only when every entry is an int in 0..255, so neither needs
+        a scan for negatives; any other row (bytes() of a buffer such as a
+        bytearray or an array.array would copy its raw memory), or a tuple
+        bytes() rejects, is scanned with min().  If none was, P = sum of the
+        rows read as little-endian base-256 integers holds the column sums
+        c_j in lanes j = 1..ell, carries aside.  A carry takes 256 from one
+        lane and adds 1 to the next, and 256 = 1 (mod 255), so each lowers
+        the digit sum of P by exactly 255: the ell digits of P are the column
+        sums exactly when P fits in ell lanes and its digits add up to the
+        total of the row sums.  Otherwise the columns are summed one by one."""
         ell = self.ell
         if len(self.matrix) != ell or any(len(r) != ell for r in self.matrix):
             raise VerificationError(f"certificate matrix is not {ell} x {ell}")
@@ -378,9 +378,9 @@ class DualCertificate:
         packed = 0  # None once some row could not be read as bytes
         total = 0
         for i, row in enumerate(self.matrix, start=1):
-            if packed is not None and type(row) is tuple:
-                try:
-                    packed += int.from_bytes(bytes(row), "little")
+            if packed is not None and type(row) in (bytes, tuple):
+                try:  # a bytes row is read as it is, a tuple through bytes()
+                    packed += int.from_bytes(row, "little")
                 except (TypeError, ValueError):
                     packed = None
             else:
@@ -414,8 +414,8 @@ def _coprime_mask(i: int) -> bytes:
     return bytes(mask) * 2
 
 
-def _dual_rows(ell: int) -> list[tuple[int, ...]]:
-    """Rows of dual_matrix(ell): entry (i, j) is 1 exactly when
+def _dual_rows(ell: int) -> list[bytes]:
+    """Rows of dual_matrix(ell) as bytes: entry (i, j) is 1 exactly when
     i + j >= ell + 1 and gcd(i, j) = 1.  Row i's window j = ell+1-i .. ell
     holds i consecutive j, one of each residue mod i, so it is the mask of
     residues coprime to i rotated to start at (ell + 1 - i) mod i."""
@@ -425,7 +425,7 @@ def _dual_rows(ell: int) -> list[tuple[int, ...]]:
     rows = []
     for i in range(1, ell + 1):
         s = (ell + 1 - i) % i
-        rows.append(tuple(bytes(ell - i) + mask(i)[s : s + i]))
+        rows.append(bytes(ell - i) + mask(i)[s : s + i])
     return rows
 
 
@@ -451,7 +451,7 @@ def _certified_dual(ell: int, perturbed: bool) -> DualCertificate:
         bump(ell - 2, ell, +1)
         bump(ell, ell - 2, +1)
         bump(ell - 1, ell - 1, +2)
-        rows[-3:] = map(tuple, last)
+        rows[-3:] = map(bytes, last)
     cert = DualCertificate(ell=ell, matrix=tuple(rows))
     cert.verify()
     value = cert.value

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, flags."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -292,6 +293,22 @@ def test_certify_dual_text(capsys):
     code, out, _ = run_cli(capsys, "certify-dual", "--l", "5")
     assert code == 0
     assert out.strip().split("\n")[-1] == "feasible, value = 1/1 (1.0000)"
+
+
+# sha256 of the stdout of certify-dual --l 300, plain and with --perturbed
+# --json, recorded while certificate rows were tuples of ints.  Past
+# ell = 256 column sums carry, so verify() sums the columns one by one.
+CERTIFY_300_DIGESTS = {
+    (): "795f3fea1adb487682a17ca412231c49ca93a7e03b12eb5bab63b19009ab277a",
+    ("--perturbed", "--json"): "585f89729df4abcff53e807bfbf0a4fe9fee0efeef8f27238c23ff47e9aab570",
+}
+
+
+@pytest.mark.parametrize("extra", list(CERTIFY_300_DIGESTS), ids=["text", "perturbed-json"])
+def test_certify_dual_300_output_pinned(capsys, extra):
+    code, out, _ = run_cli(capsys, "certify-dual", "--l", "300", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CERTIFY_300_DIGESTS[extra]
 
 
 @pytest.mark.parametrize("extra", [(), ("--perturbed",), ("--json",)])

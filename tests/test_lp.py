@@ -616,8 +616,9 @@ def gcd_rows(ell: int) -> tuple[tuple[int, ...], ...]:
 
 
 def test_dual_rows_match_gcd_oracle():
+    # rows are bytes, the oracle's are tuples: compared entry by entry
     for ell in range(1, LP_SIZE_BUDGET + 1):
-        assert tuple(_dual_rows(ell)) == gcd_rows(ell), ell
+        assert tuple(map(tuple, _dual_rows(ell))) == gcd_rows(ell), ell
 
 
 def test_dual_rows_from_shared_masks_match_gcd_oracle():
@@ -625,7 +626,17 @@ def test_dual_rows_from_shared_masks_match_gcd_oracle():
     # read the same masks at other rotations, a larger one builds its own
     _dual_rows(LP_SIZE_BUDGET)
     for ell in [LP_SIZE_BUDGET + 44, *range(LP_SIZE_BUDGET, 0, -1)]:
-        assert tuple(_dual_rows(ell)) == gcd_rows(ell), ell
+        assert tuple(map(tuple, _dual_rows(ell))) == gcd_rows(ell), ell
+
+
+def test_certificate_rows_are_bytes():
+    # one byte per entry, read by verify() without a conversion; a tuple row
+    # would still verify, only slower and eight times larger
+    for ell in range(1, LP_SIZE_BUDGET + 1):
+        assert all(type(row) is bytes for row in dual_matrix(ell).matrix), ell
+        if ell >= 4:
+            rows = perturbed_dual_matrix(ell).matrix
+            assert all(type(row) is bytes for row in rows), ell
 
 
 def test_gamma_upper_bound_matches_perturbed_formula():
@@ -723,17 +734,25 @@ ODD_ENTRIES = st.sampled_from(
 )
 
 
+def byte_sized(row) -> bool:
+    return all(type(x) is int and 0 <= x <= 255 for x in row)
+
+
 @st.composite
 def odd_rows(draw, rows):
-    """Edit entries, then maybe change the shape or turn a row into a list
-    or an array.array, whose bytes() would be its raw memory."""
+    """Edit entries, then maybe change the shape or turn a row into a list,
+    bytes, a bytearray or an array.array (bytes() of the last two would be
+    their raw memory).  The other rows are tuples, or bytes where their
+    entries fit, as the certificate constructors build them."""
     rows = [list(row) for row in rows]
     ell = len(rows)
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, ell - 1)), draw(st.integers(0, ell - 1))
         rows[i][j] = draw(ODD_ENTRIES | st.integers(0, 255))
-    kinds = ["tuple", "list", "array b", "array h", "short row", "long row", "extra row", "no row"]
-    kind = draw(st.sampled_from(kinds[:1] * 6 + kinds[1:]))  # mostly all tuples
+    kinds = ["as is", "list", "bytes", "bytearray", "array b", "array h",
+             "short row", "long row", "extra row", "no row"]
+    kind = draw(st.sampled_from(kinds[:1] * 6 + kinds[1:]))  # mostly rows as drawn
+    as_bytes = draw(st.booleans())
     i = draw(st.integers(0, ell - 1))
     if kind == "short row":
         rows[i].pop()
@@ -743,9 +762,11 @@ def odd_rows(draw, rows):
         rows.insert(i, [0] * ell)
     elif kind == "no row":
         del rows[i]
-    out = [tuple(row) for row in rows]
+    out = [bytes(row) if as_bytes and byte_sized(row) else tuple(row) for row in rows]
     if kind == "list":
         out[i] = rows[i]
+    elif kind in ("bytes", "bytearray") and byte_sized(rows[i]):
+        out[i] = (bytes if kind == "bytes" else bytearray)(rows[i])
     elif kind.startswith("array") and all(type(x) is int for x in rows[i]):
         if draw(st.booleans()):  # bytes() of a buffer would read -1 as 255
             rows[i][draw(st.integers(0, ell - 1))] = -1
