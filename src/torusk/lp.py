@@ -112,9 +112,9 @@ def primal_objective(ell: int, sigma, tau) -> Fraction:
 def check_dual(ell: int, plan) -> str | None:
     """None if the cells (i, j, f) of plan are a feasible dual for LP(ell),
     else a description of the first failure: every cell a tuple of three
-    plain ints with 1 <= i, j <= ell, every f >= 0, row i shipping at most
-    phi(i) and column j taking at least phi(j).  It is the rule
-    DualCertificate.verify checks on a dense matrix, read from sparse cells.
+    plain ints with 1 <= i, j <= ell, every f >= 0, then the row and column
+    sums against phi by _sums_problem, the rule DualCertificate.verify
+    applies to a dense matrix.
 
     Any cell, in the band or not, names the row i tau_j - j sigma_i <= 1 of
     LP(ell); put the multiplier f / (ij) on it.  Column tau_j of y^T A is then
@@ -132,12 +132,21 @@ def check_dual(ell: int, plan) -> str | None:
             return f"negative flow at ({i}, {j})"
         rows[i] += f
         cols[j] += f
+    return _sums_problem(ell, rows[1:], cols[1:])
+
+
+def _sums_problem(ell: int, rows, cols) -> str | None:
+    """The dual rule of LP(ell), shared by check_dual and
+    DualCertificate.verify: None if row i's sum rows[i - 1] is at most
+    phi(i) and column j's sum cols[j - 1] at least phi(j), else the first
+    failing row, then the first failing column.  cols may be lazy; it is
+    read only once every row has passed."""
     phi = numtheory.totients(ell)
-    for i in range(1, ell + 1):
-        if rows[i] > phi[i]:
+    for i, s in enumerate(rows, start=1):
+        if s > phi[i]:
             return f"row {i} sum exceeds phi({i})"
-    for j in range(1, ell + 1):
-        if cols[j] < phi[j]:
+    for j, c in enumerate(cols, start=1):
+        if c < phi[j]:
             return f"column {j} sum below phi({j})"
     return None
 
@@ -324,16 +333,15 @@ def primal_witness_small(ell: int) -> tuple[tuple[Fraction, ...], tuple[Fraction
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """A non-negative integer matrix feasible for the transposed program:
-    row i sums to at most phi(i), column j collects at least phi(j).  Its
-    value sum_{i,j} a[i][j] / (i * j) is an upper bound for gamma(ell).
-    check_dual applies the same rule to gamma's plan of sparse cells.  The
-    library's rows are bytes (so == tells them from tuple rows); tuple, list
-    and array rows are read too.  The value is kept from its first read,
-    outside ==, hash and repr; verify() checks the matrix on every call."""
+    """A matrix of bytes rows feasible for the transposed program: row i
+    sums to at most phi(i), column j collects at least phi(j).  That rule
+    lives in _sums_problem, which check_dual also applies to gamma's plan
+    of sparse cells.  Its value sum_{i,j} a[i][j] / (i * j) is an upper bound
+    for gamma(ell).  The value is kept from its first read, outside ==,
+    hash and repr; verify() checks the matrix on every call."""
 
     ell: int
-    matrix: tuple[bytes | tuple[int, ...], ...]
+    matrix: tuple[bytes, ...]
     _value: Fraction | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -356,50 +364,35 @@ class DualCertificate:
         return self._value
 
     def verify(self) -> None:
-        """Check shape, entries >= 0, row i sum <= phi(i) and column j sum
-        >= phi(j), reporting the first failing row, then column; every entry
-        is read again on every call.
+        """Check the shape, that every row is bytes (so every entry is
+        0..255, and none needs a scan for negatives), and the row and column
+        sums by _sums_problem; every entry is read again on every call.
 
-        A bytes row holds 0..255 by construction, and bytes() of a tuple
-        succeeds only when every entry is an int in 0..255, so neither needs
-        a scan for negatives; any other row (bytes() of a buffer such as a
-        bytearray or an array.array would copy its raw memory), or a tuple
-        bytes() rejects, is scanned with min().  If none was, P = sum of the
-        rows read as little-endian base-256 integers holds the column sums
-        c_j in lanes j = 1..ell, carries aside.  A carry takes 256 from one
-        lane and adds 1 to the next, and 256 = 1 (mod 255), so each lowers
-        the digit sum of P by exactly 255: the ell digits of P are the column
-        sums exactly when P fits in ell lanes and its digits add up to the
-        total of the row sums.  Otherwise the columns are summed one by one."""
+        P = sum of the rows read as little-endian base-256 integers holds
+        the column sums c_j in lanes j = 1..ell, carries aside.  A carry
+        takes 256 from one lane and adds 1 to the next, and 256 = 1
+        (mod 255), so each lowers the digit sum of P by exactly 255: the ell
+        digits of P are the column sums exactly when P fits in ell lanes and
+        its digits add up to the total of the row sums.  Otherwise the
+        columns are summed one by one."""
         ell = self.ell
         if len(self.matrix) != ell or any(len(r) != ell for r in self.matrix):
             raise VerificationError(f"certificate matrix is not {ell} x {ell}")
-        phi = numtheory.totients(ell)
-        packed = 0  # None once some row could not be read as bytes
-        total = 0
+        sums = []
+        packed = 0
         for i, row in enumerate(self.matrix, start=1):
-            if packed is not None and type(row) in (bytes, tuple):
-                try:  # a bytes row is read as it is, a tuple through bytes()
-                    packed += int.from_bytes(row, "little")
-                except (TypeError, ValueError):
-                    packed = None
-            else:
-                packed = None
-            if packed is None and min(row) < 0:
-                raise VerificationError(f"negative entry in row {i}")
-            s = sum(row)
-            if s > phi[i]:
-                raise VerificationError(f"row {i} sum exceeds phi({i})")
-            if packed is not None:
-                total += s
+            if type(row) is not bytes:
+                raise VerificationError(f"row {i} is not bytes")
+            sums.append(sum(row))
+            packed += int.from_bytes(row, "little")
         columns = map(sum, zip(*self.matrix))
-        if packed is not None and packed.bit_length() <= 8 * ell:
+        if packed.bit_length() <= 8 * ell:
             digits = packed.to_bytes(ell, "little")
-            if sum(digits) == total:
+            if sum(digits) == sum(sums):
                 columns = digits
-        for j, c in enumerate(columns, start=1):
-            if c < phi[j]:
-                raise VerificationError(f"column {j} sum below phi({j})")
+        problem = _sums_problem(ell, sums, columns)
+        if problem is not None:
+            raise VerificationError(problem)
 
 
 @cache

@@ -279,7 +279,7 @@ def small_nice_sets(draw):
 @given(small_nice_sets())
 @settings(max_examples=100, deadline=None)
 def test_convex_hull_of_nice_set_matches_reference_chain(q):
-    assert convex_hull(q) == _reference_hull(q.points)
+    assert convex_hull(q.points) == _reference_hull(q.points)
 
 
 @given(unimods)
