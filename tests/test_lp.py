@@ -886,6 +886,23 @@ def test_verify_rejects_rows_that_are_not_bytes(convert):
             assert cert.value == 1
 
 
+@pytest.mark.parametrize(
+    "convert",
+    [lambda row: tuple(map(Fraction, row)), lambda row: tuple(map(float, row))],
+    ids=["fraction", "float"],
+)
+def test_verify_reads_rows_bytes_cannot(convert):
+    # entries bytes() cannot hold are refused by the row's type, whether they
+    # are valid or one of them is negative
+    rows = list(dual_matrix(30).matrix)
+    rows[20] = convert(rows[20])
+    assert verify_message(30, tuple(rows)) == "row 21 is not bytes"
+    row = [*dual_matrix(30).matrix[20]]
+    row[0], row[29] = -1, row[29] + 1
+    rows[20] = convert(row)
+    assert verify_message(30, tuple(rows)) == "row 21 is not bytes"
+
+
 def test_certified_dual_returns_the_checked_value():
     for ell in (1, 4, 7, 40):
         cert = lp._certified_dual(ell, perturbed=False)
