@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import BudgetError, VerificationError
 from . import bounds as bounds_mod
 from . import lp
-from .closedform import construct_height1, pattern_or_table
+from .closedform import pattern_or_table
 from .heights import map_jobs, sweep, verify_height
 from .oracle import brute_force_max
 from .search import max_size
@@ -71,33 +71,33 @@ def _build_parser() -> _Parser:
 
     p = add_parser("compute", _run_compute,
                    help="maximum k-nice set size via the search pipeline")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--h", type=int, default=None, help="restrict to one height")
-    p.add_argument("--baseline", type=int, default=None,
+    p.add_argument("--baseline", type=positive_int, default=None,
                    help="initial lower bound N for a single-height run")
     p.add_argument("--witness", action="store_true", help="include a witness set")
     p.add_argument("--json", action="store_true")
 
     p = add_parser("oracle", _run_oracle, help="brute-force maximum for tiny k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--json", action="store_true")
 
     p = add_parser("table", _run_table, ("--threads", "--long"),
                    help="k range sweep, closed form vs search")
-    p.add_argument("--from", dest="k_from", type=int, required=True)
+    p.add_argument("--from", dest="k_from", type=positive_int, required=True)
     p.add_argument("--to", dest="k_to", type=int, required=True)
     p.add_argument("--no-check", action="store_true",
                    help="emit closed-form values only, skip the search cross-check")
 
     p = add_parser("lp-gamma", _run_lp_gamma, help="exact LP optimum gamma_ell")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--l", dest="ell", type=int, default=None)
+    which.add_argument("--l", dest="ell", type=positive_int, default=None)
     which.add_argument("--lmax", dest="ell_max", type=positive_int, default=None,
                        help="emit a csv table for ell = 1..lmax")
 
     p = add_parser("certify-dual", _run_certify_dual, ("--long",),
                    help="emit and verify a dual certificate matrix")
-    p.add_argument("--l", dest="ell", type=int, required=True)
+    p.add_argument("--l", dest="ell", type=positive_int, required=True)
     p.add_argument("--perturbed", action="store_true")
     p.add_argument("--json", action="store_true")
 
@@ -117,8 +117,6 @@ def _build_parser() -> _Parser:
 
 def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
     k = args.k
-    if k < 1:
-        raise _UsageError("compute needs --k >= 1")
     if args.baseline is not None and args.h is None:
         raise _UsageError("compute --baseline needs --h")
     if args.witness and not args.json and args.h is None:
@@ -130,22 +128,14 @@ def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
         baseline = args.baseline if args.baseline is not None else 1
         if not 2 <= args.h <= k:
             raise _UsageError(f"compute needs 2 <= --h <= --k, got --h {args.h}")
-        if baseline < 1:
-            raise _UsageError(f"compute needs --baseline >= 1, got {baseline}")
         value, wit = compute_with_witness(k, args.h, baseline)
         out = {"k": k, "h": args.h, "baseline": baseline, "value": value}
         if args.witness and wit is not None:
             out["witness"] = [[m, n] for (m, n) in wit.points]
         return json.dumps(out, sort_keys=True) + "\n", 0
-    if k < 3:
-        # too small for the pipeline; closed form answers directly
-        payload = {"k": k, "max_size": pattern_or_table(k).value, "per_height": []}
-        if args.witness:
-            payload["witness"] = [[m, n] for (m, n) in construct_height1(k).points]
-    else:
-        payload = max_size(k).to_json_dict()
-        if not args.witness:
-            payload.pop("witness", None)
+    payload = max_size(k).to_json_dict()
+    if not args.witness:
+        payload.pop("witness", None)
     if args.json:
         return json.dumps(payload, sort_keys=True) + "\n", 0
     return f"N({k}) = {payload['max_size']}\n", 0
@@ -153,8 +143,6 @@ def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
 
 def _run_oracle(args: argparse.Namespace) -> tuple[str, int]:
     k = args.k
-    if k < 1:
-        raise _UsageError("oracle needs --k >= 1")
     outcome = brute_force_max(k)
     if args.json:
         return json.dumps(outcome.to_json_dict(), sort_keys=True) + "\n", 0
@@ -164,14 +152,14 @@ def _run_oracle(args: argparse.Namespace) -> tuple[str, int]:
 def _table_row(args: tuple[int, bool]) -> tuple[int, int, str, int | None]:
     k, check = args
     pv = pattern_or_table(k)
-    searched = max_size(k).max_size if (check and k >= 3) else None
+    searched = max_size(k).max_size if check else None
     return k, pv.value, pv.source, searched
 
 
 def _run_table(args: argparse.Namespace) -> tuple[str, int]:
     lo, hi = args.k_from, args.k_to
-    if lo < 1 or hi < lo:
-        raise _UsageError("table needs 1 <= from <= to")
+    if hi < lo:
+        raise _UsageError(f"table needs --from <= --to, got --from {lo} --to {hi}")
     if hi - lo > 2000 and not args.long_mode:
         raise BudgetError(f"table range {lo}..{hi} needs --long")
     if hi > TABLE_CHECK_BUDGET and not (args.no_check or args.long_mode):
@@ -195,16 +183,12 @@ def _run_table(args: argparse.Namespace) -> tuple[str, int]:
 def _run_lp_gamma(args: argparse.Namespace) -> tuple[str, int]:
     if args.ell_max is not None:
         return lp.density_table_csv(args.ell_max), 0
-    if args.ell < 1:
-        raise _UsageError(f"lp-gamma needs --l >= 1, got --l {args.ell}")
     g = lp.gamma(args.ell).gamma
     return f"{g.numerator}/{g.denominator} ({lp.format_round4(g)})\n", 0
 
 
 def _run_certify_dual(args: argparse.Namespace) -> tuple[str, int]:
     ell = args.ell
-    if ell < 1:
-        raise _UsageError("certify-dual needs --l >= 1")
     if args.perturbed and ell < 4:
         raise _UsageError(f"certify-dual --perturbed needs --l >= 4, got --l {ell}")
     # memory grows with ell^2 (one byte per entry): at the budget the process
@@ -265,9 +249,9 @@ def _run_verify_height(args: argparse.Namespace) -> tuple[str, int]:
 def _run_bounds(args: argparse.Namespace) -> tuple[str, int]:
     suites = {
         "sum210": bounds_mod.check_sum210,
-        "threshold-3225": lambda: bounds_mod.check_threshold_3225(120),
-        "threshold-1892": lambda: bounds_mod.check_threshold_1892(66),
-        "size-bound": lambda: bounds_mod.check_size_bound(40),
+        "threshold-3225": bounds_mod.check_threshold_3225,
+        "threshold-1892": bounds_mod.check_threshold_1892,
+        "size-bound": bounds_mod.check_size_bound,
         "density-threshold": bounds_mod.check_density_threshold,
     }
     names = list(suites) if args.suite == "all" else [args.suite]

@@ -34,7 +34,6 @@ ell >= 4, which is the fact that separates the k+2/k+3/k+4 patterns.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -223,6 +222,7 @@ def _staircase_potentials(ell: int, cells) -> tuple[list[Fraction], list[Fractio
     return [x - low for x in u], [x - low for x in v]
 
 
+@cache  # a VerificationError leaves nothing cached
 def _solve_northwest(ell: int) -> GammaValue:
     """gamma(ell) with both witnesses, from the northwest-corner plan, in
     O(ell) exact steps before verify_gamma's check; no LP solver.
@@ -281,10 +281,6 @@ def _check_budget(ell: int) -> None:
         raise BudgetError(f"ell = {ell} exceeds the LP size budget {LP_SIZE_BUDGET}")
 
 
-_gamma_lock = threading.Lock()
-_gamma_memo: dict[int, GammaValue] = {}
-
-
 def gamma(ell: int) -> GammaValue:
     """Exact optimum of LP(ell) with verified primal and dual witnesses,
     from the northwest-corner plan and its staircase potentials
@@ -295,13 +291,7 @@ def gamma(ell: int) -> GammaValue:
     if ell < 1:
         raise ValueError(f"gamma needs ell >= 1, got {ell}")
     _check_budget(ell)
-    with _gamma_lock:
-        hit = _gamma_memo.get(ell)
-    if hit is not None:
-        return hit
-    gv = _solve_northwest(ell)
-    with _gamma_lock:
-        return _gamma_memo.setdefault(ell, gv)
+    return _solve_northwest(ell)
 
 
 def primal_witness_small(ell: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -346,6 +336,8 @@ class DualCertificate:
 
     @property
     def value(self) -> Fraction:
+        """sum_{i,j} a[i][j] / (i * j), read from the bytes rows verify()
+        accepts; it checks nothing itself."""
         # With L = lcm(1..n), a / (i * j) = a * (L / i) * (L / j) / L^2, so the
         # sum is one integer per row over a single denominator.  A row of 0s
         # and 1s (every row of dual_matrix) adds the scales L / j of its
@@ -520,11 +512,8 @@ def density_table_csv(ell_max: int) -> str:
     _check_budget(ell_max)
     lines = ["ell,rho,alpha,gamma,beta"]
     for ell in range(1, ell_max + 1):
-        t = numtheory.triples(ell)
-        g = gamma(ell).gamma
-        lines.append(
-            f"{ell},{format_round4(t.rho)},{format_round4(t.alpha)},"
-            f"{format_round4(g)},{format_round4(t.beta)}"
-        )
+        values = (numtheory.rho(ell), numtheory.alpha(ell), gamma(ell).gamma,
+                  numtheory.beta(ell))
+        lines.append(",".join([str(ell), *map(format_round4, values)]))
     return "\n".join(lines) + "\n"
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 gcd = math.gcd  # non-negative, gcd(0, 0) == 0
@@ -128,7 +127,7 @@ def alpha(ell: int) -> Fraction:
 
 
 _beta_lock = threading.Lock()
-_beta_memo: dict[int, Fraction] = {0: Fraction(1)}
+_beta: list[Fraction] = [Fraction(1)]  # beta_0, beta_1, ..., extended in order
 
 
 def beta(ell: int) -> Fraction:
@@ -136,12 +135,9 @@ def beta(ell: int) -> Fraction:
     if ell < 0:
         raise ValueError(f"beta needs ell >= 0, got {ell}")
     with _beta_lock:
-        known = max(i for i in _beta_memo if i <= ell)
-        acc = _beta_memo[known]
-        for i in range(known + 1, ell + 1):
-            acc = acc + alpha(i) + rho(i)
-            _beta_memo[i] = acc
-        return _beta_memo[ell]
+        for i in range(len(_beta), ell + 1):
+            _beta.append(_beta[-1] + alpha(i) + rho(i))
+        return _beta[ell]
 
 
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -156,24 +152,4 @@ def small_prime_part(i: int) -> int:
         if i % p == 0:
             part *= p
     return part
-
-
-@dataclass(frozen=True)
-class DensityTriple:
-    """The (rho, alpha, beta) values at one modulus."""
-
-    ell: int
-    rho: Fraction
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self):
-        if not (0 < self.rho <= 1):
-            raise ValueError(f"rho out of range at ell={self.ell}: {self.rho}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha negative at ell={self.ell}: {self.alpha}")
-
-
-def triples(ell: int) -> DensityTriple:
-    return DensityTriple(ell=ell, rho=rho(ell), alpha=alpha(ell), beta=beta(ell))
 

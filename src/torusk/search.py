@@ -67,7 +67,7 @@ from itertools import accumulate, compress
 from math import gcd, isqrt
 from operator import itemgetter, sub
 
-from .closedform import best_low_height_set, height_le3_max
+from .closedform import best_low_height_set, construct_height1, height_le3_max
 from .heights import verify_height
 from .lattice import NiceSet
 
@@ -397,10 +397,15 @@ class SearchOutcome:
 
 
 def max_size(k: int) -> SearchOutcome:
-    """Maximum size of a k-nice set for k >= 3, with provenance.
+    """Maximum size of a k-nice set for k >= 1, with provenance.
 
-    Start from the height <= 3 closed form.  Any k-nice set can be
-    normalized to height at most sqrt(2k), so sweeping h from 2 to
+    For k = 1 and 2 the answer needs no search: the height <= 3 closed
+    form starts at k = 3, and below it the height-1 set of size k + 2 is
+    maximum, N(1) = 3 and N(2) = 4 (the brute-force oracle agrees), so
+    that set is the witness and per_height is empty.
+
+    For k >= 3, start from the height <= 3 closed form.  Any k-nice set
+    can be normalized to height at most sqrt(2k), so sweeping h from 2 to
     floor(sqrt(2k)) covers everything: a Verified verdict at h means
     height-h sets never beat smaller heights (no search needed), and the
     remaining heights are searched with the irreducibility cut.
@@ -416,8 +421,10 @@ def max_size(k: int) -> SearchOutcome:
     per_height or the witness; the tests check that both match the exact
     searches.
     """
+    if k < 1:
+        raise ValueError(f"max_size needs k >= 1, got {k}")
     if k < 3:
-        raise ValueError(f"max_size needs k >= 3, got {k}")
+        return SearchOutcome(k=k, max_size=k + 2, witness=construct_height1(k), per_height=())
     N = height_le3_max(k)
     witness: NiceSet | None = best_low_height_set(k)
     tables = IntervalTables(k)

@@ -14,7 +14,6 @@ from math import gcd, isqrt
 
 import pytest
 
-from lp_oracle import solve_by_generation
 from torusk import lattice, numtheory
 from torusk.bounds import check_sum210, check_threshold_3225, check_threshold_1892, size_bound
 from torusk.closedform import (
@@ -27,7 +26,7 @@ from torusk.closedform import (
     pattern_or_table,
 )
 from torusk.heights import sweep, verify_height
-from torusk.lp import dual_matrix, format_round4, gamma, perturbed_dual_matrix
+from torusk.lp import density_table_csv, dual_matrix, gamma, perturbed_dual_matrix
 from torusk.oracle import brute_force_max
 from torusk.search import compute, max_size
 
@@ -65,15 +64,10 @@ def _report(n: int, what: str, t0: float) -> None:
 
 def test_01_density_table_rounds_to_reference():
     t0 = time.time()
-    for line in REFERENCE_DENSITY_TABLE.splitlines():
-        raw_ell, want_rho, want_alpha, want_gamma, want_beta = line.split(",")
-        ell = int(raw_ell)
-        t = numtheory.triples(ell)
-        assert format_round4(t.rho) == want_rho, ell
-        assert format_round4(t.alpha) == want_alpha, ell
-        assert format_round4(t.beta) == want_beta, ell
-        g = solve_by_generation(ell).gamma
-        assert format_round4(g) == want_gamma, ell
+    # the table lp-gamma --lmax 20 prints; test_lp checks its gammas
+    # against the exact simplex
+    want = "ell,rho,alpha,gamma,beta\n" + REFERENCE_DENSITY_TABLE + "\n"
+    assert density_table_csv(20) == want
     _report(1, "density table ell 1..20, 4-decimal match", t0)
 
 
@@ -105,8 +99,7 @@ def test_03_brute_force_agreement_tiny_k():
     for k in range(1, 13):
         want = pattern_or_table(k).value
         assert brute_force_max(k).max_size == want, k
-        if k >= 3:
-            assert max_size(k).max_size == want, k
+        assert max_size(k).max_size == want, k
     _report(3, "independent brute force k = 1..12", t0)
 
 

@@ -23,10 +23,10 @@ def run_cli(capsys, *argv):
 
 
 @pytest.fixture
-def fresh_memo(monkeypatch):
+def fresh_memo():
     # start from an empty memo, so gamma(4) is solved in the test itself
     # rather than read back from an earlier test's solve
-    monkeypatch.setattr(lp, "_gamma_memo", {})
+    lp._solve_northwest.cache_clear()
 
 
 def test_missing_required_arg(capsys):
@@ -55,14 +55,14 @@ def test_compute_tiny_k(capsys):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_compute_tiny_k_json_witness(capsys, k):
-    # the closed-form shortcut below k = 3 still returns a checked witness
+    # max_size answers k < 3 without a search, still with a checked witness
     code, out, _ = run_cli(capsys, "compute", "--k", str(k), "--json", "--witness")
     assert code == 0
     payload = json.loads(out)
     assert payload["max_size"] == k + 2
     assert len(payload["witness"]) == k + 2
     assert check_k_nice([tuple(p) for p in payload["witness"]], k) is None
-    # without --witness the output is the closed-form payload, as before
+    # without --witness the payload has no witness and no per-height rows
     plain = f'{{"k": {k}, "max_size": {k + 2}, "per_height": []}}\n'
     assert run_cli(capsys, "compute", "--k", str(k), "--json") == (0, plain, "")
 
@@ -141,6 +141,28 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
     assert out == ""
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--k", "0"),
+        ("compute", "--k", "5", "--h", "3", "--baseline", "0"),
+        ("oracle", "--k", "0"),
+        ("lp-gamma", "--l", "0"),
+        ("certify-dual", "--l", "0"),
+        ("table", "--from", "0", "--to", "3"),
+    ],
+)
+def test_flags_below_one_are_parser_errors(monkeypatch, capsys, argv):
+    def no_call(*args, **kwargs):
+        raise AssertionError("library called before the flags were checked")
+
+    for owner, name in [(cli, "max_size"), (cli, "brute_force_max"),
+                        (search, "compute_with_witness"), (lp, "gamma"), (lp, "_certified_dual")]:
+        monkeypatch.setattr(owner, name, no_call)
+    flag = argv[argv.index("0") - 1]
+    assert run_cli(capsys, *argv) == (1, "", f"usage error: argument {flag}: must be >= 1, got 0\n")
 
 
 def test_threads_below_one_is_usage_error(capsys):
@@ -435,7 +457,7 @@ def test_northwest_failure_exits_two_and_memoizes_nothing(capsys, fresh_memo, mo
             patch_plan(m, mutant)
             code, out, err = run_cli(capsys, "lp-gamma", "--l", "4")
         assert (code, out, err) == (2, "", f"verification failed: gamma(4): {message}\n"), mutant
-        assert lp._gamma_memo == {}
+        assert lp._solve_northwest.cache_info().currsize == 0
 
 
 def test_threaded_table_matches_serial(capsys):

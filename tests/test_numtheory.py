@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from torusk import numtheory
 from torusk.numtheory import (
-    DensityTriple,
     alpha,
     beta,
     coprime_count,
@@ -20,7 +19,6 @@ from torusk.numtheory import (
     squarefree_divisors,
     totient,
     totients,
-    triples,
 )
 
 
@@ -183,8 +181,9 @@ def test_small_prime_part():
     assert small_prime_part(121) == 1
 
 
-def test_triples_validation():
-    t = triples(6)
-    assert isinstance(t, DensityTriple)
-    assert (t.rho, t.alpha, t.beta) == (Fraction(1, 3), 1, Fraction(124, 15))
+def test_density_values_and_ranges():
+    assert (rho(6), alpha(6), beta(6)) == (Fraction(1, 3), 1, Fraction(124, 15))
+    for ell in range(1, 257):
+        assert 0 < rho(ell) <= 1, ell
+        assert alpha(ell) >= 0, ell
 

@@ -201,6 +201,25 @@ def test_max_size_small_range(k):
     assert lattice.check_k_nice(out.witness.points, k) is None
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_max_size_below_three_needs_no_search(monkeypatch, k):
+    def no_search(*args, **kwargs):
+        raise AssertionError(f"searched at k = {k}")
+
+    monkeypatch.setattr(search, "verify_height", no_search)
+    monkeypatch.setattr(search, "compute_with_witness", no_search)
+    out = max_size(k)
+    assert out.max_size == brute_force_max(k).max_size == pattern_or_table(k).value == k + 2
+    assert out.per_height == ()
+    assert len(out.witness.points) == out.max_size
+    assert lattice.check_k_nice(out.witness.points, k) is None
+
+
+def test_max_size_needs_k_at_least_one():
+    with pytest.raises(ValueError, match=r"max_size needs k >= 1, got 0"):
+        max_size(0)
+
+
 def test_max_size_outcome_shape():
     out = max_size(24)
     assert out.k == 24
