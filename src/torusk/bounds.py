@@ -18,11 +18,9 @@ from .lp import LP_SIZE_BUDGET, gamma
 
 PI_LO = Fraction(311, 99)
 PI_HI = Fraction(355, 113)
-assert PI_LO < PI_HI
 
 # coefficient of k in the density bound; needs pi's upper endpoint < 1
 DENSITY_COEFF_HI = Fraction(3264) * PI_HI / 10255
-assert DENSITY_COEFF_HI < 1
 
 SUM210_SLOPE = Fraction(4946, 3675)
 

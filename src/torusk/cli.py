@@ -21,7 +21,7 @@ from . import lp
 from .closedform import pattern_or_table
 from .heights import map_jobs, sweep, verify_height
 from .oracle import brute_force_max
-from .search import max_size
+from .search import compute_with_witness, max_size
 
 CERTIFY_BUDGET = 2000  # largest certify-dual --l without --long
 # largest table --to searched without --long: the top of the range the tests
@@ -41,7 +41,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse would name this function; say what a plain int flag says
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -123,8 +127,6 @@ def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
         # the text output is the value alone, so the witness would be dropped
         raise _UsageError("compute --witness needs --json")
     if args.h is not None:
-        from .search import compute_with_witness
-
         baseline = args.baseline if args.baseline is not None else 1
         if not 2 <= args.h <= k:
             raise _UsageError(f"compute needs 2 <= --h <= --k, got --h {args.h}")
@@ -135,7 +137,7 @@ def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
         return json.dumps(out, sort_keys=True) + "\n", 0
     payload = max_size(k).to_json_dict()
     if not args.witness:
-        payload.pop("witness", None)
+        del payload["witness"]
     if args.json:
         return json.dumps(payload, sort_keys=True) + "\n", 0
     return f"N({k}) = {payload['max_size']}\n", 0

@@ -156,7 +156,6 @@ def construct_extremal(k: int) -> NiceSet:
     if k not in EXTREMAL_K:
         raise ValueError(f"no extremal construction for k = {k}")
     p = isqrt(k + 1)
-    assert p * p == k + 1
     points: list[tuple[int, int]] = [(1, 0)]
     for i in range(1, p + 1):
         lo, hi = p * i - p, (p - 1) * i + p

@@ -19,7 +19,7 @@ table both go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from torusk import lattice
 from torusk.lattice import NiceSet, UnimodularMatrix, shear_power
@@ -93,10 +93,8 @@ def reduction_range(k: int) -> range:
     """Heights h with sqrt(4k/3) < h <= sqrt(2k): a verified verdict at
     each of these lowers the general sqrt(2k) height bound for this k
     down to sqrt(4k/3)."""
-    import math
-
-    lo = math.isqrt(4 * k // 3)  # floor(sqrt(4k/3))
-    hi = math.isqrt(2 * k)
+    lo = isqrt(4 * k // 3)  # floor(sqrt(4k/3))
+    hi = isqrt(2 * k)
     return range(lo + 1, hi + 1)
 
 
@@ -141,7 +139,6 @@ def reduce_height_sqrt2k(q: NiceSet) -> NiceSet:
         # shear exponent centering x0: x0 + t*h in [-h/2, h/2]
         t = -((2 * x0 + h) // (2 * h))
         sheared = lattice.apply_matrix(current, shear_power(t))
-        assert abs(x0 + t * h) * 2 <= h
         rotated = lattice.apply_matrix(sheared, ROT)
         current = lattice.normalize_y_nonneg(rotated)
         if lattice.height(current) >= h:

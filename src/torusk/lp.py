@@ -47,7 +47,10 @@ from torusk.errors import BudgetError, VerificationError
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-LP_SIZE_BUDGET = 256  # largest ell the solver will accept
+# largest ell gamma accepts: the budget bounds verify_gamma's exact O(ell^2)
+# primal check (one _solve_northwest, check included: 17 ms at ell = 256,
+# 0.31 s at ell = 1000; 2-core host, Python 3.11)
+LP_SIZE_BUDGET = 256
 
 
 @dataclass(frozen=True)

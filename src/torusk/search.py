@@ -382,18 +382,17 @@ class SearchOutcome:
 
     k: int
     max_size: int
-    witness: NiceSet | None
+    witness: NiceSet
     per_height: tuple[tuple[int, str, int], ...]
 
     def to_json_dict(self) -> dict:
-        out: dict = {"k": self.k, "max_size": self.max_size}
-        if self.witness is not None:
-            out["witness"] = [[m, n] for (m, n) in self.witness.points]
-        out["per_height"] = [
-            {"h": h, "action": action, "result": result}
-            for (h, action, result) in self.per_height
-        ]
-        return out
+        return {
+            "k": self.k,
+            "max_size": self.max_size,
+            "witness": [[m, n] for (m, n) in self.witness.points],
+            "per_height": [{"h": h, "action": action, "result": result}
+                           for (h, action, result) in self.per_height],
+        }
 
 
 def max_size(k: int) -> SearchOutcome:
@@ -426,7 +425,7 @@ def max_size(k: int) -> SearchOutcome:
     if k < 3:
         return SearchOutcome(k=k, max_size=k + 2, witness=construct_height1(k), per_height=())
     N = height_le3_max(k)
-    witness: NiceSet | None = best_low_height_set(k)
+    witness = best_low_height_set(k)
     tables = IntervalTables(k)
     per_height: list[tuple[int, str, int]] = []
     for h in range(2, isqrt(2 * k) + 1):
@@ -441,6 +440,6 @@ def max_size(k: int) -> SearchOutcome:
             per_height.append((h, "improved", N))
         else:
             per_height.append((h, "searched", N))
-    if witness is not None and len(witness) != N:
+    if len(witness) != N:
         raise AssertionError("witness size disagrees with final maximum")
     return SearchOutcome(k=k, max_size=N, witness=witness, per_height=tuple(per_height))

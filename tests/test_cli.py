@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, flags."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -159,10 +160,21 @@ def test_flags_below_one_are_parser_errors(monkeypatch, capsys, argv):
         raise AssertionError("library called before the flags were checked")
 
     for owner, name in [(cli, "max_size"), (cli, "brute_force_max"),
-                        (search, "compute_with_witness"), (lp, "gamma"), (lp, "_certified_dual")]:
+                        (cli, "compute_with_witness"), (lp, "gamma"), (lp, "_certified_dual")]:
         monkeypatch.setattr(owner, name, no_call)
     flag = argv[argv.index("0") - 1]
     assert run_cli(capsys, *argv) == (1, "", f"usage error: argument {flag}: must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("compute", "--k", "abc"), ("table", "--from", "3", "--to", "4", "--threads", "x")],
+)
+def test_non_integer_flag_names_int_not_the_parser_type(capsys, argv):
+    # the same wording as a plain int flag such as --h
+    *_, flag, text = argv
+    assert run_cli(capsys, *argv) == (
+        1, "", f"usage error: argument {flag}: invalid int value: {text!r}\n")
 
 
 def test_threads_below_one_is_usage_error(capsys):
@@ -239,6 +251,19 @@ def test_table_includes_tiny(capsys):
     assert code == 0
     assert "1,3,tiny" in out
     assert "2,4,tiny" in out
+
+
+def test_table_mismatch_prints_the_table_and_exits_two(capsys, monkeypatch):
+    def disagree_at_5(k):
+        pv = pattern_or_table(k)
+        return dataclasses.replace(pv, value=pv.value + 1) if k == 5 else pv
+
+    monkeypatch.setattr(cli, "pattern_or_table", disagree_at_5)
+    assert run_cli(capsys, "table", "--from", "3", "--to", "6") == (
+        2,
+        "k,N,source\n3,6,pattern\n4,6,pattern\n5,9,pattern\n6,8,pattern\n",
+        "verification failed: table mismatch: k=5: closed=9, search=8\n",
+    )
 
 
 def test_table_budget_guard(capsys):
