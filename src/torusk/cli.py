@@ -132,8 +132,9 @@ def _run_compute(args: argparse.Namespace) -> tuple[str, int]:
             raise _UsageError(f"compute needs 2 <= --h <= --k, got --h {args.h}")
         value, wit = compute_with_witness(k, args.h, baseline)
         out = {"k": k, "h": args.h, "baseline": baseline, "value": value}
-        if args.witness and wit is not None:
-            out["witness"] = [[m, n] for (m, n) in wit.points]
+        if args.witness:
+            # null: the stratum stays at or below the baseline, which is value
+            out["witness"] = None if wit is None else [[m, n] for (m, n) in wit.points]
         return json.dumps(out, sort_keys=True) + "\n", 0
     payload = max_size(k).to_json_dict()
     if not args.witness:

@@ -42,10 +42,11 @@ per-pair scan; the order moves only where a loop stops and how far b
 jumps.
 
 The row tables are periodic: gcd(z + i, i) = gcd(z, i), so row i's
-coprime indicator, its window counts and every level of its sparse
-table repeat every i.  IntervalTables.columns builds one period of each
-and tiles it to full length by list repetition, and reads the row's
-coprime list off the tiled indicator.
+coprime indicator and its window counts repeat every i.
+IntervalTables.columns tiles one period of the indicator to full length
+and reads the row's prefix counts and coprime list off it, and keeps the
+window counts as one period table: the largest count over each run of
+window starts, read mod i, so a window maximum is one read.
 
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
@@ -81,11 +82,12 @@ class IntervalTables:
     i's contribution to any k-nice set confined to [a, b].  Row i's
     entries are w = k // i, the widest admissible window minus one;
     prefix, where prefix[z] counts the coprimes to i in [0, z) for z in
-    0..k+1; and sparse, where sparse[j][t] is the largest count over a
-    window [a', a' + w] with a' in [t, t + 2**j), so a range maximum of
-    window starts is two reads (_window_max).  Each table repeats every i,
-    so a row is built from one period and tiled to full length; a level
-    whose span 2**j is at least i holds a period's largest count at every t.
+    0..k+1; and per, where per[r][d] is the largest count over a window
+    [a', a' + w] with a' in r..r+d read mod n, for n = min(i, k - w + 1)
+    window starts (n = i whenever i <= k).  Window counts repeat every i,
+    so a range of window starts [lo, hi - w] is the one read
+    per[lo % n][hi - w - lo], and a range of n or more starts holds the
+    period's largest count, per[r][-1] (_window_max).
     """
 
     def __init__(self, k: int):
@@ -99,50 +101,39 @@ class IntervalTables:
         self.coprimes: list[list[int]] = [[]]
 
     def columns(self, n: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
-        """The (w, prefix, sparse) column lists, built out to row n together
+        """The (w, prefix, per) column lists, built out to row n together
         with coprimes; a search node slices them next to its own interval
         bounds."""
-        ws, pres, sparses = columns = self._columns
-        k = self.k
+        ws, pres, pers = columns = self._columns
         for i in range(len(ws), n + 1):
-            w = k // i
-            starts = k - w + 1  # window starts 0..k-w
-            mask = _tiled([gcd(z, i) == 1 for z in range(i)], k + 1)
-            pre = list(accumulate(mask, initial=0))
-            self.coprimes.append(list(compress(range(k + 1), mask)))
-            # one period of window counts, or all of them when there are
-            # fewer (only for i > k), where no kept entry of a level wraps
-            level = list(map(sub, pre[w + 1 : w + 1 + i], pre[:i]))
-            sparse = [_tiled(level, starts)]
-            span = 1
-            while 2 * span <= starts:
-                # windows wrap around the period; once 2 * span >= i every
-                # entry is the period's maximum and later steps keep it
-                level = list(map(max, level, level[span:] + level[:span]))
-                span *= 2
-                sparse.append(_tiled(level, starts - span + 1))
+            w, pre, per, coprimes = _row(self.k, i)
             ws.append(w)
             pres.append(pre)
-            sparses.append(sparse)
+            pers.append(per)
+            self.coprimes.append(coprimes)
         return columns
 
 
-def _tiled(period: list, length: int) -> list:
-    """period repeated, cut to length entries."""
-    q, r = divmod(length, len(period))
-    return period * q + period[:r]
+def _row(k: int, i: int) -> tuple[int, list[int], list[list[int]], list[int]]:
+    """Row i's (w, prefix, per) entries and coprime list over [0, k]."""
+    w = k // i
+    mask = ([gcd(z, i) == 1 for z in range(i)] * (w + 1))[: k + 1]
+    pre = list(accumulate(mask, initial=0))
+    # one period of window counts, or all of them when there are fewer
+    # (only for i > k, where no read wraps)
+    level = list(map(sub, pre[w + 1 : w + 1 + i], pre[:i]))
+    per = [list(accumulate(level[r:] + level[:r], max)) for r in range(len(level))]
+    return w, pre, per, list(compress(range(k + 1), mask))
 
 
-def _window_max(w: int, pre: list[int], sparse: list[list[int]], lo: int, hi: int) -> int:
+def _window_max(w: int, pre: list[int], per: list[list[int]], lo: int, hi: int) -> int:
     """Row window maximum over [lo, hi] from the row's column entries."""
     if hi - lo <= w:
         # the whole interval is admissible and dominates subintervals
         return pre[hi + 1] - pre[lo]
-    last = hi - w
-    j = (last - lo + 1).bit_length() - 1
-    level = sparse[j]
-    x, y = level[lo], level[last - (1 << j) + 1]
-    return x if x > y else y
+    d = hi - w - lo
+    n = len(per)
+    return per[lo % n][d if d < n else -1]
 
 
 def _backtrack(
@@ -205,11 +196,11 @@ def _backtrack(
     # tuples: dead tuples of these sizes stay on CPython's tuple free lists
     # and would add megabytes to the peak RSS.  a walks the coprimes to ell
     # in [L[ell], U[ell]], a slice of row ell's coprime list, and the window
-    # lookups are _window_max inlined.
-    ws, pres, sparses = tables.columns(ell)
+    # lookups are _window_max inlined, with len(per) = i since i < h <= k.
+    ws, pres, pers = tables.columns(ell)
     desc = sorted(
         zip(range(1, ell), L[1:ell], U[1:ell], full[1:ell], ws[1:ell], pres[1:ell],
-            sparses[1:ell]),
+            pers[1:ell]),
         key=itemgetter(3), reverse=True,
     )
     w_ell, pre_ell = ws[ell], pres[ell]
@@ -226,7 +217,7 @@ def _backtrack(
             b_max = hi_ell
         span = pre_ell[b_max + 1] - pre_ell[a]
         bound = top + span
-        for i, lo, hi, x_full, w, pre, sparse in desc:
+        for i, lo, hi, x_full, w, pre, per in desc:
             ai = a * i
             end = -((k - ai) // ell)
             if end > lo:
@@ -240,13 +231,8 @@ def _backtrack(
             elif hi - lo <= w:
                 x = pre[hi + 1] - pre[lo]
             else:
-                last = hi - w
-                j = (last - lo + 1).bit_length() - 1
-                level = sparse[j]
-                x = level[lo]
-                y = level[last - (1 << j) + 1]
-                if y > x:
-                    x = y
+                d = hi - w - lo
+                x = per[lo % i][d if d < i else -1]
             terms[i] = x
             bound += x - x_full
             if bound <= N:
@@ -277,7 +263,7 @@ def _backtrack(
                 break
             row_count = cap = pre_ell[b + 1] - pre_a
             np = rest + row_count
-            for i, lo, _, _, w, pre, sparse in desc:
+            for i, lo, _, _, w, pre, per in desc:
                 end = -((k - b * i) // ell)
                 if end > lo:
                     lo = end
@@ -288,13 +274,8 @@ def _backtrack(
                 elif hi - lo <= w:
                     x = pre[hi + 1] - pre[lo]
                 else:
-                    last = hi - w
-                    j = (last - lo + 1).bit_length() - 1
-                    level = sparse[j]
-                    x = level[lo]
-                    y = level[last - (1 << j) + 1]
-                    if y > x:
-                        x = y
+                    d = hi - w - lo
+                    x = per[lo % i][d if d < i else -1]
                 sub[i] = x
                 np += x - terms[i]
                 if np <= N:
@@ -358,8 +339,8 @@ def compute_with_witness(
     choices: list[tuple[int, int, int]] = []
     lower = [0, 0] + [1] * (h - 1)
     upper = [0] + [k] * h
-    ws, pres, sparses = tables.columns(h)
-    full = [0] + [_window_max(ws[i], pres[i], sparses[i], lower[i], k) for i in range(1, h)]
+    ws, pres, pers = tables.columns(h)
+    full = [0] + [_window_max(ws[i], pres[i], pers[i], lower[i], k) for i in range(1, h)]
     result = _backtrack(
         k, h, N, h, 0, lower, upper, full, tables, choices, best, 0, irreducible_only
     )

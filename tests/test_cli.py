@@ -98,6 +98,29 @@ def test_compute_single_height(capsys):
     assert payload["baseline"] == 26
 
 
+def test_compute_single_height_witness_null_at_or_below_baseline(capsys):
+    # the height-5 stratum of k = 24 reaches 30, so baseline 31 is not beaten
+    # and the witness is null rather than left out
+    code, out, _ = run_cli(
+        capsys, "compute", "--k", "24", "--h", "5", "--baseline", "31", "--witness"
+    )
+    assert code == 0
+    assert out == '{"baseline": 31, "h": 5, "k": 24, "value": 31, "witness": null}\n'
+
+
+def test_compute_single_height_witness_above_baseline(capsys):
+    code, out, _ = run_cli(
+        capsys, "compute", "--k", "24", "--h", "5", "--baseline", "29", "--witness"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == 30
+    points = [tuple(p) for p in payload["witness"]]
+    assert len(set(points)) == 30
+    assert max(y for _, y in points) == 5
+    assert check_k_nice(points, 24) is None
+
+
 def test_compute_single_height_rejects_bad_height(capsys):
     code, out, err = run_cli(capsys, "compute", "--k", "5", "--h", "1")
     assert code == 1

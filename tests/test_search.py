@@ -1,9 +1,7 @@
 """Branch-and-bound search over admissible row fillings."""
 
 import hashlib
-from itertools import accumulate
 from math import gcd, isqrt
-from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +19,9 @@ def naive_count(i, a, b):
 
 
 def table_row(tables, i):
-    """Row i's (w, prefix, sparse) entries from the column store."""
-    ws, pres, sparses = tables.columns(i)
-    return ws[i], pres[i], sparses[i]
+    """Row i's (w, prefix, per) entries from the column store."""
+    ws, pres, pers = tables.columns(i)
+    return ws[i], pres[i], pers[i]
 
 
 def table_count(tables, i, a, b):
@@ -40,29 +38,30 @@ def table_window_max(tables, i, a, b):
 
 
 # sha256 of repr([table_row(tables, i) for i in range(1, 31)]), recorded
-# from the per-element row build; repr also tells an int from a bool
+# from reference_row; repr also tells an int from a bool
 ROW_DIGESTS = {
-    3: "fabf923b2dc61bf559044bcbcfb772a95ca59851d8d4a0375dd4e0aee03e5ac2",
-    7: "e8225c3415883925709c02ba9da8392246facfc46fdd0558f99bc853264cf7e8",
-    96: "86388bd38b5250d09420c87a1a28164b72628936bdca20e1c4a64a58c1f54cd2",
-    152: "98ed804b44e28834b76fd9765f3faa739ad09c45dd989e822bcbc25ed290c03a",
-    301: "572cbb792e69647344e91b87f793a204a1cf5de224effaadbfe5efa7fbc6a0af",
+    3: "3ee93ecebdabe2be67444c9501fefa11535883885ecae298033c9bcf5f1fdb07",
+    7: "19ed3226a2c3e2a43ae15294684f8d326bae51143d4c8229b449c9576a254880",
+    96: "6f9ada56516b7d31c33754ab2984c927ee20daea500f6f1d4c55d096d82cd376",
+    152: "1dcfe25aead46300f59b5106ce34b7e5cc4cdc09013ea169d9ae785c91448ea5",
+    301: "598fd32f891ff199496db97b79c23f811bbafb416ff3abd7cb53f0b5acd78191",
 }
 
 
 def reference_row(k, i):
     """A row of IntervalTables.columns built element by element: one gcd
-    per z in [0, k], and each sparse level from the one below it."""
-    pre = list(accumulate((gcd(z, i) == 1 for z in range(k + 1)), initial=0))
+    per z in [0, k] for the prefix counts, naive_count for each window
+    start, and each per[r][d] as the largest count over starts r..r+d
+    read mod n."""
+    pre = [0]
+    for z in range(k + 1):
+        pre.append(pre[-1] + (gcd(z, i) == 1))
     w = k // i
-    g = list(map(sub, pre[w + 1 :], pre[: k - w + 1]))
-    sparse = [g]
-    span = 1
-    while 2 * span <= len(g):
-        prev = sparse[-1]
-        sparse.append(list(map(max, prev, prev[span:])))
-        span *= 2
-    return w, pre, sparse
+    n = min(i, k - w + 1)
+    counts = [naive_count(i, s, s + w) for s in range(n)]
+    twice = counts * 2
+    per = [[max(twice[r : r + d + 1]) for d in range(n)] for r in range(n)]
+    return w, pre, per
 
 
 # 1, primes and prime powers up to 80
@@ -79,7 +78,8 @@ class TestIntervalTables:
     )
     @settings(max_examples=80, deadline=None)
     def test_tiled_rows_match_per_element_build(self, k, data):
-        # columns() tiles one period of each table; the reference never does
+        # columns() tiles one period of the coprime indicator and builds
+        # the period table from rotations; the reference does neither
         m = min(k, 80)
         i = data.draw(st.one_of(
             st.sampled_from([r for r in SPECIAL_ROWS if r <= m]),
@@ -110,22 +110,30 @@ class TestIntervalTables:
         tables = IntervalTables(k)
         assert table_count(tables, i, a, b) == naive_count(i, a, b)
 
-    @given(
-        st.integers(min_value=2, max_value=24),
-        st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=200), st.data())
+    @settings(max_examples=150, deadline=None)
     def test_window_max_matches_naive(self, k, data):
-        i = data.draw(st.integers(min_value=1, max_value=min(k, 6)))
-        a = data.draw(st.integers(min_value=0, max_value=k))
-        b = data.draw(st.integers(min_value=a, max_value=k))
-        tables = IntervalTables(k)
-        w = k // i
+        # rows to k + 3, most often k, k + 1 and k + 2, and intervals that
+        # cover i or more window starts, where the lookup reads the period's
+        # largest count instead of per[lo % i][hi - w - lo]
+        i = data.draw(st.one_of(
+            st.sampled_from([k, k + 1, k + 2]),
+            st.integers(min_value=1, max_value=k + 3),
+        ))
+        # one row alone: columns() would build every row below it as well
+        w, pre, per, _ = search._row(k, i)
+        wide = w + i - 1  # b - a at which [a, b] holds i window starts
+        if wide <= k and data.draw(st.booleans()):
+            a = data.draw(st.integers(min_value=0, max_value=k - wide))
+            b = data.draw(st.integers(min_value=a + wide, max_value=k))
+        else:
+            a = data.draw(st.integers(min_value=0, max_value=k))
+            b = data.draw(st.integers(min_value=a, max_value=k))
         want = max(
             naive_count(i, lo, min(lo + w, b))
             for lo in range(a, b + 1)
         )
-        assert table_window_max(tables, i, a, b) == want
+        assert search._window_max(w, pre, per, a, b) == want
 
     @pytest.mark.parametrize("k", [1, 2, 7, 60, 97])
     def test_coprime_columns_match_gcd_scan(self, k):
@@ -471,15 +479,15 @@ class _CountedList(list):
 
 @pytest.fixture
 def counted_tables(monkeypatch):
-    """Count every prefix and sparse-level element the search reads."""
+    """Count every prefix and period-table element the search reads."""
     real = IntervalTables.columns
 
     def counted_columns(self, n):
-        _, pres, sparses = columns = real(self, n)
+        _, pres, pers = columns = real(self, n)
         for i in range(1, len(pres)):
             if type(pres[i]) is not _CountedList:
                 pres[i] = _CountedList(pres[i])
-                sparses[i] = [_CountedList(s) for s in sparses[i]]
+                pers[i] = [_CountedList(p) for p in pers[i]]
         return columns
 
     monkeypatch.setattr(IntervalTables, "columns", counted_columns)
@@ -491,9 +499,9 @@ def test_search_prune_work_stays_pinned(counted_tables):
     # that lets a bound equal to N through, a child handed a looser row
     # bound than its own intervals give, or a b loop that forgets the
     # count cap of a stopped pair) passes the plain-scan test, so count
-    # the table reads of a fixed sweep: every prefix and sparse-level
+    # the table reads of a fixed sweep: every prefix and period-table
     # element the search reads, wherever its window lookups are written.
-    # 103,267 is the count with every prune dropping bounds <= N, each
+    # 98,140 is the count with every prune dropping bounds <= N, each
     # child handed its pair's row terms and b jumping past both caps,
     # both loops walking the rows densest first, and a taken from row ell's
     # coprime list, which costs two prefix reads per node.
@@ -502,23 +510,23 @@ def test_search_prune_work_stays_pinned(counted_tables):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute(k, h, n_k - 1, tables)
-    assert 0 < _CountedList.reads <= 103_267
+    assert 0 < _CountedList.reads <= 98_140
 
 
 def test_irreducibility_cut_work_stays_pinned(counted_tables):
     # the same for the cut, which skips subtrees that stay inside the strip
-    # |x + t*y| < h: max_size reads more than 32,968 with a cut without its
+    # |x + t*y| < h: max_size reads more than 31,289 with a cut without its
     # pair gate, and only a low baseline leaves rows empty often enough that
-    # a cut without its empty-row gate reads more than 386,266
+    # a cut without its empty-row gate reads more than 377,924
     for k in range(40, 49):
         max_size(k)
-    assert 0 < _CountedList.reads <= 32_968
+    assert 0 < _CountedList.reads <= 31_289
     _CountedList.reads = 0
     for k in range(40, 49):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute_with_witness(k, h, 1, tables, irreducible_only=True)
-    assert 0 < _CountedList.reads <= 386_266
+    assert 0 < _CountedList.reads <= 377_924
 
 
 def test_passed_down_bounds_match_recomputed(monkeypatch):
