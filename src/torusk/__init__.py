@@ -12,7 +12,7 @@ The headline entry points:
     search.max_size(k)         exhaustive maximum with witness
     closedform.pattern_or_table(k)   the closed-form answer
     lp.gamma(ell)              exact LP density bound gamma_ell
-    bounds.check_threshold_3225(...)   the inequality sweeps behind the closed form
+    bounds.check_threshold_3225()   the inequality sweeps behind the closed form
 """
 
 from torusk.errors import BudgetError, VerificationError

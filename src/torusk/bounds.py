@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .numtheory import beta, rho, alpha, small_prime_part
-from .lp import LP_SIZE_BUDGET, gamma
+from .lp import gamma
 
 PI_LO = Fraction(311, 99)
 PI_HI = Fraction(355, 113)
@@ -102,15 +102,14 @@ def density_bound(k: int, h: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def check_density_threshold(h0: int = 41020) -> BoundReport:
-    """Density bound beats k + 3 at k = h0^2 / 2 for the pivot height h0.
+def check_density_threshold() -> BoundReport:
+    """Density bound beats k + 3 at k = h0^2 / 2 for the pivot h0 = 41020.
 
     With k >= h0^2 / 2 forced by the height, the upper endpoint of
     density_bound(k, h0) must stay below k + 3; combined with the
     coefficient of k being < 1 this kills all heights >= h0 at large k.
     """
-    if h0 < 2 or h0 % 2 != 0:
-        raise ValueError(f"h0 must be even and >= 2, got {h0}")
+    h0 = 41020
     k0 = h0 * h0 // 2
     _, hi = density_bound(k0, h0)
     slack = Fraction(k0 + 3) - hi
@@ -137,8 +136,6 @@ def _check_threshold(
     With K = k0 for h <= h_split and K = tail * h^2 above (the least k a
     height-h set allows), each h needs gamma_h K + beta_h < K + 3.
     """
-    if not (4 <= h_max <= LP_SIZE_BUDGET):
-        raise ValueError(f"h_max must be in 4..{LP_SIZE_BUDGET}, got {h_max}")
     slacks = []
     for h in range(4, h_max + 1):
         least_k = k0 if h <= h_split else tail * h * h
@@ -152,54 +149,52 @@ def _check_threshold(
     )
 
 
-def check_threshold_3225(h_max: int = 120) -> BoundReport:
-    """Inequalities killing heights 4..h_max for k >= 3225.
+def check_threshold_3225() -> BoundReport:
+    """Inequalities killing heights 4..120 for k >= 3225.
 
     For h in 4..80 (where k can be as small as 3225):
-    3225 gamma_h + beta_h < 3228.  For h in 81..h_max, any k-nice set of
+    3225 gamma_h + beta_h < 3228.  For h in 81..120, any k-nice set of
     height h has k >= h^2 / 2, so gamma_h h^2/2 + beta_h < h^2/2 + 3
     suffices.  All comparisons exact.
     """
-    return _check_threshold("threshold-3225", h_max, 3225, 80, Fraction(1, 2), "h^2/2")
+    return _check_threshold("threshold-3225", 120, 3225, 80, Fraction(1, 2), "h^2/2")
 
 
-def check_threshold_1892(h_max: int = 66) -> BoundReport:
-    """Sharper threshold: heights 4..h_max are dead for k >= 1892.
+def check_threshold_1892() -> BoundReport:
+    """Sharper threshold: heights 4..66 are dead for k >= 1892.
 
-    For h in 4..50: 1892 gamma_h + beta_h < 1895.  For h in 51..h_max,
+    For h in 4..50: 1892 gamma_h + beta_h < 1895.  For h in 51..66,
     the improved height reduction forces k >= 3 h^2 / 4, so
     gamma_h (3 h^2 / 4) + beta_h < 3 h^2 / 4 + 3 suffices.
     """
-    return _check_threshold("threshold-1892", h_max, 1892, 50, Fraction(3, 4), "3h^2/4")
+    return _check_threshold("threshold-1892", 66, 1892, 50, Fraction(3, 4), "3h^2/4")
 
 
-def check_size_bound(k_max: int = 40) -> BoundReport:
+def check_size_bound() -> BoundReport:
     """Empirical check of the size bound against the exact at-height search.
 
-    For k in 3..k_max and each height h reachable at that k, the best
-    size at exactly height h must stay within gamma_h k + beta_h.  The
+    For k in 3..40 and each height h reachable at that k, the best size
+    at exactly height h must stay within gamma_h k + beta_h.  The
     at-height search reports values only above its baseline 4; anything
     at or below 4 is within every bound here.
+
+    Attained instances are not set apart in equality_points here; they
+    enter the margin, so it is 0 whenever the bound holds: the bound is
+    attained at h = 1 for every k and at h = 2 for every odd k.
     """
     from .search import IntervalTables, compute
 
-    if k_max < 3:
-        raise ValueError(f"k_max must be >= 3, got {k_max}")
-    holds = True
-    margin: Fraction | None = None
-    for k in range(3, k_max + 1):
+    slacks = []
+    for k in range(3, 41):
         tables = IntervalTables(k)
         for h in range(1, isqrt(2 * k) + 1):
             best_at_h = k + 2 if h == 1 else compute(k, h, 4, tables)
-            bound = size_bound(k, h)
-            slack = bound - best_at_h
-            if best_at_h > 4 and slack < 0:
-                holds = False
-            if best_at_h > 4 and (margin is None or slack < margin):
-                margin = slack
+            if best_at_h > 4:
+                slacks.append(size_bound(k, h) - best_at_h)
+    margin = min(slacks)
     return BoundReport(
         name="size-bound",
-        range=f"k in 3..{k_max}, h in 1..floor(sqrt(2k))",
-        holds=holds,
-        margin=margin if margin is not None else Fraction(0),
+        range="k in 3..40, h in 1..floor(sqrt(2k))",
+        holds=margin >= 0,
+        margin=margin,
     )

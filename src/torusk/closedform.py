@@ -3,9 +3,10 @@
 For k >= 3 the maximum size of a k-nice set of height at most 3 is
 k+4, k+3 or k+2 depending on k mod 6, and outside an explicit finite
 exception list this is the global maximum as well.  The exception list
-(59 values, largest 384) is embedded below together with the handful of
-explicit constructions that attain the closed forms, including the four
-square-grid-like sets of size k+6 at k in {24, 48, 120, 168}.
+(57 values of k >= 3, largest 384; the table's 59 rows add k = 1 and 2)
+is embedded below together with the handful of explicit constructions
+that attain the closed forms, including the four square-grid-like sets
+of size k+6 at k in {24, 48, 120, 168}.
 """
 
 from __future__ import annotations

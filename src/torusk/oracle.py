@@ -20,15 +20,19 @@ ORACLE_CAP = 12
 _SEEDS: tuple[Point, ...] = ((1, 0), (0, 1), (1, 1))
 
 
-def _max_clique(candidates: list[Point], adj: list[int], base: int) -> tuple[int, int]:
-    """Largest candidate subset with all pairs adjacent, take-or-leave DFS.
-
-    Returns (size, chosen bitmask).  base is added to reported sizes for
-    the pruning bound only.
-    """
+def _largest_clique(candidates: list[Point], k: int) -> list[Point]:
+    """Largest subset of candidates with every pair of measure <= k and no
+    antipodal pair (only the symmetric box has one), by take-or-leave DFS."""
+    n = len(candidates)
+    adj = [0] * n
+    for i, p in enumerate(candidates):
+        for j in range(i + 1, n):
+            q = candidates[j]
+            if (p[0] != -q[0] or p[1] != -q[1]) and pair_measure(p, q) <= k:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
     best_size = 0
     best_mask = 0
-    n = len(candidates)
 
     def dfs(avail: int, chosen: int, count: int) -> None:
         nonlocal best_size, best_mask
@@ -44,42 +48,30 @@ def _max_clique(candidates: list[Point], adj: list[int], base: int) -> tuple[int
             dfs(avail & adj[j], chosen | bit, count + 1)
 
     dfs((1 << n) - 1, 0, 0)
-    return base + best_size, best_mask
+    return [candidates[j] for j in range(n) if best_mask >> j & 1]
 
 
-def brute_force_max(k: int, h_cap: int | None = None, cap: int = ORACLE_CAP) -> SearchOutcome:
-    """Exact maximum size of a k-nice set by exhaustive search, k <= cap."""
+def brute_force_max(k: int, h_cap: int | None = None) -> SearchOutcome:
+    """Exact maximum size of a k-nice set by exhaustive search, k <= ORACLE_CAP."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if k > cap:
-        raise BudgetError(f"oracle capped at k <= {cap}, got {k}")
+    if k > ORACLE_CAP:
+        raise BudgetError(f"oracle capped at k <= {ORACLE_CAP}, got {k}")
     if h_cap is None:
         h_cap = isqrt(2 * k)
-    candidates: list[Point] = []
-    for n in range(0, h_cap + 1):
-        for m in range(0, k + 1):
-            p = (m, n)
-            if gcd(m, n) != 1 or p in _SEEDS:
-                continue
-            if all(pair_measure(p, s) <= k for s in _SEEDS):
-                candidates.append(p)
-    candidates.sort(key=lambda p: (p[1], p[0]))
-    adj = [0] * len(candidates)
-    for i, p in enumerate(candidates):
-        for j in range(i + 1, len(candidates)):
-            if pair_measure(p, candidates[j]) <= k:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    size, mask = _max_clique(candidates, adj, base=len(_SEEDS))
-    points = list(_SEEDS) + [candidates[j] for j in range(len(candidates)) if mask >> j & 1]
-    witness = NiceSet.from_points(points, k)
-    if len(witness) != size:
-        raise AssertionError("oracle witness size disagrees with count")
-    return SearchOutcome(k=k, max_size=size, witness=witness, per_height=())
+    candidates = [
+        (m, n)
+        for n in range(h_cap + 1)
+        for m in range(k + 1)
+        if gcd(m, n) == 1 and (m, n) not in _SEEDS
+        and all(pair_measure((m, n), s) <= k for s in _SEEDS)
+    ]
+    witness = NiceSet.from_points([*_SEEDS, *_largest_clique(candidates, k)], k)
+    return SearchOutcome(k=k, max_size=len(witness), witness=witness, per_height=())
 
 
-def symmetric_box_max(k: int, cap: int = 6) -> int:
-    """Maximum over the symmetric box {-k..k} x {0..floor(sqrt(2k))}.
+def symmetric_box_max(k: int) -> int:
+    """Maximum over the symmetric box {-k..k} x {0..floor(sqrt(2k))}, k <= 6.
 
     Slower cross-check that the canonical-box restriction in
     brute_force_max loses nothing: no seed points are forced, x may be
@@ -87,23 +79,9 @@ def symmetric_box_max(k: int, cap: int = 6) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if k > cap:
-        raise BudgetError(f"symmetric check capped at k <= {cap}, got {k}")
-    h_cap = isqrt(2 * k)
-    candidates: list[Point] = []
-    for n in range(0, h_cap + 1):
-        for m in range(-k, k + 1):
-            if gcd(m, n) == 1:
-                candidates.append((m, n))
-    candidates.sort(key=lambda p: (p[1], p[0]))
-    adj = [0] * len(candidates)
-    for i, p in enumerate(candidates):
-        for j in range(i + 1, len(candidates)):
-            q = candidates[j]
-            if p[0] == -q[0] and p[1] == -q[1]:
-                continue
-            if pair_measure(p, q) <= k:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    size, _ = _max_clique(candidates, adj, base=0)
-    return size
+    if k > 6:
+        raise BudgetError(f"symmetric check capped at k <= 6, got {k}")
+    candidates = [
+        (m, n) for n in range(isqrt(2 * k) + 1) for m in range(-k, k + 1) if gcd(m, n) == 1
+    ]
+    return len(_largest_clique(candidates, k))

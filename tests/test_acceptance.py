@@ -130,9 +130,9 @@ def test_05_threshold_inequality_suite():
     assert 210 in rep.equality_points
     assert rep.equality_points == (105, 210)  # both half-period attainments
 
-    rep = check_threshold_1892(66)
+    rep = check_threshold_1892()
     assert rep.holds, "1892-threshold family failed"
-    rep = check_threshold_3225(120)
+    rep = check_threshold_3225()
     assert rep.holds, "3225-threshold family failed"
 
     # near-tight evaluations, tolerance 5e-4 on the quoted 4-decimal values

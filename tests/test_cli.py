@@ -250,6 +250,14 @@ def test_oracle_text(capsys):
     assert out == "N(5) = 8\n"
 
 
+def test_oracle_witnesses_pinned(capsys):
+    # the reported witnesses, not just their sizes, for every k the oracle takes
+    runs = [run_cli(capsys, "oracle", "--k", str(k), "--json") for k in range(1, 13)]
+    assert all(code == 0 and err == "" for code, _, err in runs)
+    digest = hashlib.sha256("".join(out for _, out, _ in runs).encode()).hexdigest()
+    assert digest == "0ec80125b34de18ef92c4d151cd3c93ecdd7efb4f3cfda7258c42b3b1062f4d3"
+
+
 def test_oracle_budget_exit(capsys):
     code, _, err = run_cli(capsys, "oracle", "--k", "13")
     assert code == 3
@@ -434,6 +442,17 @@ def test_bounds_json(capsys):
     payload = json.loads(out)
     assert payload["holds"] is True
     assert payload["equality_points"] == [105, 210]
+
+
+@pytest.mark.parametrize("argv, want", [
+    ((), "ac538a35de6d83d7875fc984cf18b12f12051ed0003af926de64d28c1307a185"),
+    (("--json",), "35edb0ca88dd6ae111207481329f2d37f826ebaad20df64c1e3cdeeb08443f47"),
+], ids=["text", "json"])
+def test_bounds_all_pinned(capsys, argv, want):
+    # every suite's range, verdict and exact margin
+    code, out, err = run_cli(capsys, "bounds", "--suite", "all", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_bounds_density_threshold_text(capsys):

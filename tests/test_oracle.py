@@ -2,7 +2,7 @@
 
 import pytest
 
-from torusk import lattice
+from torusk import lattice, oracle
 from torusk.closedform import pattern_or_table
 from torusk.errors import BudgetError
 from torusk.oracle import ORACLE_CAP, brute_force_max, symmetric_box_max
@@ -23,11 +23,14 @@ def test_oracle_matches_search(k):
     assert brute_force_max(k).max_size == max_size(k).max_size
 
 
-def test_oracle_budget():
-    with pytest.raises(BudgetError):
+def test_oracle_budget(monkeypatch):
+    with pytest.raises(BudgetError, match=f"k <= {ORACLE_CAP}, got {ORACLE_CAP + 1}"):
         brute_force_max(ORACLE_CAP + 1)
-    # explicit cap raise is honored
-    out = brute_force_max(ORACLE_CAP + 1, cap=ORACLE_CAP + 1)
+    with pytest.raises(BudgetError, match="k <= 6, got 7"):
+        symmetric_box_max(7)
+    # the cap is read at call time, so raising it reaches one k further
+    monkeypatch.setattr(oracle, "ORACLE_CAP", ORACLE_CAP + 1)
+    out = brute_force_max(ORACLE_CAP + 1)
     assert out.max_size == pattern_or_table(ORACLE_CAP + 1).value
 
 
