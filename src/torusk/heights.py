@@ -10,7 +10,7 @@ bound for specific (k, h): when it reports verified, *every* k-nice set of
 height exactly h is equivalent to one of smaller height (so h can be skipped
 in an exhaustive search over heights).  A not-verified verdict carries the
 first witnessing scan point and says only that this certificate failed, not
-that an irreducible set exists.
+that an irreducible set exists; open_residues(k, h) names the x0 it leaves open.
 
 map_jobs runs independent jobs in worker processes; sweep and the CLI's
 table both go through it.
@@ -61,32 +61,49 @@ def verify_height(k: int, h: int) -> HeightVerdict:
     if not 2 <= h <= k:
         raise ValueError(f"verify_height needs 2 <= h <= k, got h={h}, k={k}")
     for x0 in range(1, h // 2 + 1):
-        if gcd(x0, h) != 1:
-            continue
-        if h * h <= k - x0:  # h <= (k - x0) / h
-            return HeightVerdict(k, h, False, (x0, None, None))
-        for y in range(1, h + 1):
-            for x in range(h, (x0 * y + k) // h + 1):
-                if gcd(x, y) != 1:
-                    continue
-                z = min(y, x - y)
-                if z * x + k < h * x:  # z + k/x < h
-                    continue
-                w = 1
-                for yp in range(1, h + 1):
-                    lo = ceil_div(yp * (x0 - h) - k, h)
-                    hi = (yp * (x0 - h) + k) // h
-                    for xp in range(lo, hi + 1):
-                        if gcd(xp, yp) != 1:
-                            continue
-                        if abs(xp * y - (x - y) * yp) > k:
-                            continue
-                        if abs(xp) > w:
-                            w = abs(xp)
-                if w < h:
-                    continue
-                return HeightVerdict(k, h, False, (x0, y, x))
+        if gcd(x0, h) == 1 and (witness := _scan(k, h, x0)):
+            return HeightVerdict(k, h, False, witness)
     return HeightVerdict(k, h, True)
+
+
+def open_residues(k: int, h: int) -> tuple[int, ...]:
+    """The x0 in 1..h/2 coprime to h whose part of verify_height's scan
+    fails, ascending; empty exactly when verify_height(k, h) verifies.
+
+    The certificate holds per x0: a k-nice set of height h with a top point
+    (z, h) whose centred residue z + t*h, t = -((2z + h) // (2h)), is +-x0
+    for an x0 not listed is equivalent to one of smaller height (for -x0,
+    after the mirror x -> -x).  The scan resumes at the verdict's x0."""
+    verdict = verify_height(k, h)
+    if verdict.verified:
+        return ()
+    first = verdict.witness[0]
+    rest = range(first + 1, h // 2 + 1)
+    return (first, *(x0 for x0 in rest if gcd(x0, h) == 1 and _scan(k, h, x0)))
+
+
+def _scan(k: int, h: int, x0: int) -> tuple | None:
+    """verify_height's scan for one top-row x0: the first failing scan
+    point, or None when the certificate holds for x0."""
+    if h * h <= k - x0:  # h <= (k - x0) / h
+        return (x0, None, None)
+    for y in range(1, h + 1):
+        for x in range(h, (x0 * y + k) // h + 1):
+            if gcd(x, y) != 1:
+                continue
+            z = min(y, x - y)
+            if z * x + k < h * x:  # z + k/x < h
+                continue
+            w = 1
+            for yp in range(1, h + 1):
+                lo = ceil_div(yp * (x0 - h) - k, h)
+                hi = (yp * (x0 - h) + k) // h
+                for xp in range(lo, hi + 1):
+                    if abs(xp) > w and abs(xp * y - (x - y) * yp) <= k and gcd(xp, yp) == 1:
+                        w = abs(xp)
+            if w >= h:
+                return (x0, y, x)
+    return None
 
 
 def reduction_range(k: int) -> range:

@@ -54,10 +54,15 @@ height and are skipped, the rest are searched with the irreducibility
 cut.  A top-row pair (a, b) fixes the shear t = -((2a + h) // (2h)) that
 heights.reduce_height_sqrt2k uses to centre the least top point, and a
 node whose completions all keep |x + t*y| < h is dropped: shearing by t
-and turning a quarter takes every such set below height h.  The result
-is then at most the exact per-height maximum, and max_size's final N(k)
-is still exact (see max_size); compute and compute_with_witness without
-irreducible_only return the exact per-height maximum.
+and turning a quarter takes every such set below height h.  The cut also
+drops every top row holding a point z whose centred residue |z + t_z*h|
+heights.open_residues leaves out, t_z being z's own centring shear: that
+residue's certificate takes the set, mirrored by x -> -x if the residue is
+negative, below height h.  From a table built once per height, the root
+skips such an a and ends b before the next one.  The result is at most
+the exact per-height maximum, and max_size's final N(k) is still exact
+(see max_size); compute and compute_with_witness without irreducible_only
+return the exact per-height maximum.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ from math import gcd, isqrt
 from operator import itemgetter, sub
 
 from .closedform import best_low_height_set, construct_height1, height_le3_max
-from .heights import verify_height
+from .errors import VerificationError
+from .heights import open_residues, verify_height
 from .lattice import NiceSet
 
 
@@ -158,8 +164,9 @@ def _backtrack(
     it (0 when the interval is empty).  The lists may run past ell, are
     only read, and the intervals only shrink as the recursion descends.
     While inside is set, every fixed point has |x + t*y| < h, and only
-    completions that leave that strip are searched; at the root it turns
-    the cut on, and each top-row a picks its own t.
+    completions that leave that strip are searched.  At the root it is False
+    or the cut's table: inside[c] steps from c to the next class mod h with
+    a certified centred residue (0 for c), and each top-row a picks its t.
     """
     if ell == 0:
         # every path reaching the bottom was pruned against the current N,
@@ -213,6 +220,13 @@ def _backtrack(
         # every b <= b_max keeps (b - a) * ell <= k and counts <= span in
         # row ell; swapping full[i] for row i's term at a only lowers bound
         b_max = a + w_ell
+        if root_cut:  # skip a certified a, or end the row before the next one
+            d = inside[a % h]
+            if not d:
+                continue
+            if d <= w_ell:
+                b_max = a + d - 1
+            t = -((2 * a + h) // (2 * h))
         if b_max > hi_ell:
             b_max = hi_ell
         span = pre_ell[b_max + 1] - pre_ell[a]
@@ -249,8 +263,6 @@ def _backtrack(
         pre_a = pre_ell[a]
         stop = b_max + 2
         cap = 0
-        if root_cut:
-            t = -((2 * a + h) // (2 * h))
         while True:
             need = N - rest
             if need < cap:
@@ -335,6 +347,14 @@ def compute_with_witness(
         tables = IntervalTables(k)
     elif tables.k != k:
         raise ValueError("tables were built for a different k")
+    inside = False
+    if irreducible_only:
+        # inside[c]: the step from c to the next certified class mod h, > k if none
+        opened = open_residues(k, h)
+        inside, step = [0] * h, k
+        for c in range(2 * h - 1, -1, -1):
+            step = 0 if gcd(c, h) == 1 and min(c % h, -c % h) not in opened else step + 1
+            inside[c % h] = step
     best: list = [None]
     choices: list[tuple[int, int, int]] = []
     lower = [0, 0] + [1] * (h - 1)
@@ -342,13 +362,13 @@ def compute_with_witness(
     ws, pres, pers = tables.columns(h)
     full = [0] + [_window_max(ws[i], pres[i], pers[i], lower[i], k) for i in range(1, h)]
     result = _backtrack(
-        k, h, N, h, 0, lower, upper, full, tables, choices, best, 0, irreducible_only
+        k, h, N, h, 0, lower, upper, full, tables, choices, best, 0, inside
     )
     if result <= N or best[0] is None:
         return result, None
     witness = _witness_from_choices(k, best[0])
     if len(witness) != result:
-        raise AssertionError("witness size disagrees with search result")
+        raise VerificationError(f"witness size {len(witness)} disagrees with value {result}")
     return result, witness
 
 
@@ -391,9 +411,12 @@ def max_size(k: int) -> SearchOutcome:
     remaining heights are searched with the irreducibility cut.
 
     The cut keeps N(k) exact.  It drops a set of height h only when every
-    point has |x + t*y| < h, with t the shear of its least top point;
-    shearing by t and applying heights.ROT then gives an equivalent set of
-    lower height.  Take a canonical maximum set of least height.  Had the
+    point has |x + t*y| < h, with t the shear of its least top point, so
+    that shearing by t and applying heights.ROT gives an equivalent set of
+    lower height, or when some top point has a centred residue whose
+    certificate holds (heights.open_residues), so that the set, mirrored
+    by x -> -x if that residue is negative, is equivalent to one of lower
+    height too.  Take a canonical maximum set of least height.  Had the
     cut dropped it, its image would be a maximum set, hence
     inclusion-maximal, of lower height, and canonical_position would put
     that image in the box at its own height, where the search looks:
@@ -422,5 +445,5 @@ def max_size(k: int) -> SearchOutcome:
         else:
             per_height.append((h, "searched", N))
     if len(witness) != N:
-        raise AssertionError("witness size disagrees with final maximum")
+        raise VerificationError(f"witness size {len(witness)} disagrees with N({k}) = {N}")
     return SearchOutcome(k=k, max_size=N, witness=witness, per_height=tuple(per_height))

@@ -297,6 +297,26 @@ def test_table_mismatch_prints_the_table_and_exits_two(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("compute", "--k", "24"), ("compute", "--k", "24", "--h", "5"),
+     ("table", "--from", "24", "--to", "24")],
+)
+def test_short_search_witness_exits_two(capsys, monkeypatch, argv):
+    # a witness that disagrees with the search value is a failed check,
+    # not a crash: exit 2 with the check's message
+    real = search._witness_from_choices
+
+    def one_short(k, choices):
+        witness = real(k, choices)
+        return type(witness).from_points(sorted(witness.points)[1:], k)
+
+    monkeypatch.setattr(search, "_witness_from_choices", one_short)
+    assert run_cli(capsys, *argv) == (
+        2, "", "verification failed: witness size 29 disagrees with value 30\n"
+    )
+
+
 def test_table_budget_guard(capsys):
     code, _, err = run_cli(capsys, "table", "--from", "1", "--to", "2500")
     assert code == 3

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from torusk import lattice, search
 from torusk.closedform import best_low_height_set, height_le3_max, pattern_or_table
-from torusk.heights import ROT, reduce_height_sqrt2k, verify_height
+from torusk.errors import VerificationError
+from torusk.heights import ROT, open_residues, reduce_height_sqrt2k, verify_height
 from torusk.oracle import brute_force_max
 from torusk.search import IntervalTables, compute, compute_with_witness, max_size
 
@@ -223,6 +224,18 @@ def test_max_size_below_three_needs_no_search(monkeypatch, k):
     assert lattice.check_k_nice(out.witness.points, k) is None
 
 
+def test_max_size_checks_its_witness(monkeypatch):
+    # nothing beats the height <= 3 set at k = 13, so the final check
+    # compares N(13) with that set's size
+    def one_short(k):
+        witness = best_low_height_set(k)
+        return type(witness).from_points(sorted(witness.points)[1:], k)
+
+    monkeypatch.setattr(search, "best_low_height_set", one_short)
+    with pytest.raises(VerificationError, match=r"witness size 15 disagrees with N\(13\) = 16"):
+        max_size(13)
+
+
 def test_max_size_needs_k_at_least_one():
     with pytest.raises(ValueError, match=r"max_size needs k >= 1, got 0"):
         max_size(0)
@@ -268,6 +281,56 @@ def test_skipped_heights_never_improve():
                 skipped += 1
                 assert compute(k, h, n_k, tables) == n_k, (k, h)
     assert skipped > 0
+
+
+def _certified_top_rows_max(k, h, N, tables, opened):
+    """compute(k, h, N), but over only the top rows [a, b] that hold a
+    point whose centred residue is not in opened: the root's pair loop
+    written out, each kept pair's subtree searched exactly by
+    search._backtrack."""
+    ws, pres, pers = tables.columns(h)
+    for a in range(k + 1):
+        for b in range(a, min(k, a + k // h) + 1):
+            row = [z for z in range(a, b + 1) if gcd(z, h) == 1]
+            if not row or row[0] != a or row[-1] != b:
+                continue
+            if all(min(z % h, -z % h) in opened for z in row):
+                continue
+            low = [0, 0] + [1] * (h - 2)
+            low = [max(low[i], -((k - b * i) // h)) for i in range(h)]
+            up = [0] + [min(k, (a * i + k) // h) for i in range(1, h)]
+            full = [0] + [
+                search._window_max(ws[i], pres[i], pers[i], low[i], up[i])
+                if low[i] <= up[i] else 0
+                for i in range(1, h)
+            ]
+            if len(row) + 1 + sum(full) <= N:
+                continue
+            N = search._backtrack(
+                k, h, N, h - 1, len(row), low, up, full, tables, [(h, a, b)], [None],
+                0, False,
+            )
+    return N
+
+
+def test_certified_top_rows_never_improve():
+    # the cut drops every top row holding a point whose residue
+    # open_residues leaves out; searching exactly over just those rows
+    # must not beat N(k)
+    searched = 0
+    for k in range(3, 81):
+        n_k = pattern_or_table(k).value
+        tables = IntervalTables(k)
+        for h in range(2, isqrt(2 * k) + 1):
+            opened = open_residues(k, h)
+            coprime = [x0 for x0 in range(1, h // 2 + 1) if gcd(x0, h) == 1]
+            if opened and len(opened) < len(coprime):
+                searched += 1
+                assert _certified_top_rows_max(k, h, n_k, tables, opened) == n_k, (k, h)
+    assert searched > 0
+    # and the restricted search does reach N(k) where it can
+    opened = open_residues(40, 7)
+    assert _certified_top_rows_max(40, 7, 1, IntervalTables(40), opened) == 42
 
 
 @st.composite
@@ -450,17 +513,33 @@ def _leaves_strip(choices):
     return any(b + t * ell >= h or a + t * ell <= -h for ell, a, b in choices)
 
 
+def _kept_by_cut(k, h):
+    """The irreducibility cut in full, as a filter on a set's choices: the
+    set leaves the strip, and every coprime point of its top row has a
+    centred residue that heights.open_residues leaves open."""
+    opened = open_residues(k, h)
+
+    def keep(choices):
+        _, a, b = choices[0]
+        return _leaves_strip(choices) and all(
+            min(z % h, -z % h) in opened for z in range(a, b + 1) if gcd(z, h) == 1
+        )
+
+    return keep
+
+
 def test_irreducibility_cut_matches_filtered_pair_scan():
-    # the cut may only skip subtrees without a set that leaves the strip:
-    # value and witness must be those of a plain scan that counts only the
-    # sets that leave it (baseline 1 is left out: where no set leaves, the
-    # plain scan never raises N and walks the whole tree)
+    # the cut may only skip subtrees without a set that it keeps: value and
+    # witness must be those of a plain scan that counts only the sets that
+    # leave the strip and have no certified top point (baseline 1 is left
+    # out: where no set is kept, the plain scan never raises N and walks
+    # the whole tree)
     for k in range(13, 39):
         n_k = pattern_or_table(k).value
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             for baseline in (k + 2, n_k - 1):
-                want = _reference_compute(k, h, baseline, tables, _leaves_strip)
+                want = _reference_compute(k, h, baseline, tables, _kept_by_cut(k, h))
                 got = compute_with_witness(
                     k, h, baseline, tables, irreducible_only=True
                 )
@@ -515,18 +594,22 @@ def test_search_prune_work_stays_pinned(counted_tables):
 
 def test_irreducibility_cut_work_stays_pinned(counted_tables):
     # the same for the cut, which skips subtrees that stay inside the strip
-    # |x + t*y| < h: max_size reads more than 31,289 with a cut without its
-    # pair gate, and only a low baseline leaves rows empty often enough that
-    # a cut without its empty-row gate reads more than 377,924
+    # |x + t*y| < h and top rows that hold a certified residue: max_size
+    # reads more than 28,987 with a cut without its pair gate, with a top
+    # row checked only at its least point (30,191) and with b_max left
+    # uncapped, so that only the b loop stops before the next certified
+    # point (29,238); only a low baseline leaves rows empty often enough
+    # that a cut without its empty-row gate reads more than 301,594, and the
+    # uncapped b_max reads 301,818 there
     for k in range(40, 49):
         max_size(k)
-    assert 0 < _CountedList.reads <= 31_289
+    assert 0 < _CountedList.reads <= 28_987
     _CountedList.reads = 0
     for k in range(40, 49):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute_with_witness(k, h, 1, tables, irreducible_only=True)
-    assert 0 < _CountedList.reads <= 377_924
+    assert 0 < _CountedList.reads <= 301_594
 
 
 def test_passed_down_bounds_match_recomputed(monkeypatch):
