@@ -10,7 +10,8 @@ bound for specific (k, h): when it reports verified, *every* k-nice set of
 height exactly h is equivalent to one of smaller height (so h can be skipped
 in an exhaustive search over heights).  A not-verified verdict carries the
 first witnessing scan point and says only that this certificate failed, not
-that an irreducible set exists; open_residues(k, h) names the x0 it leaves open.
+that an irreducible set exists; open_residues(k, h), or the verdict's own
+open_residues(), names the x0 it leaves open.
 
 map_jobs runs independent jobs in worker processes; sweep and the CLI's
 table both go through it.
@@ -47,6 +48,15 @@ class HeightVerdict:
             out["witness"] = list(self.witness)
         return out
 
+    def open_residues(self) -> tuple[int, ...]:
+        """open_residues(k, h) from this verdict: the scan resumes after
+        the verdict's x0 instead of running verify_height again."""
+        if self.verified:
+            return ()
+        k, h, first = self.k, self.h, self.witness[0]
+        rest = range(first + 1, h // 2 + 1)
+        return (first, *(x0 for x0 in rest if gcd(x0, h) == 1 and _scan(k, h, x0)))
+
 
 def verify_height(k: int, h: int) -> HeightVerdict:
     """Certificate that every k-nice set of height h reduces to height < h.
@@ -73,13 +83,8 @@ def open_residues(k: int, h: int) -> tuple[int, ...]:
     The certificate holds per x0: a k-nice set of height h with a top point
     (z, h) whose centred residue z + t*h, t = -((2z + h) // (2h)), is +-x0
     for an x0 not listed is equivalent to one of smaller height (for -x0,
-    after the mirror x -> -x).  The scan resumes at the verdict's x0."""
-    verdict = verify_height(k, h)
-    if verdict.verified:
-        return ()
-    first = verdict.witness[0]
-    rest = range(first + 1, h // 2 + 1)
-    return (first, *(x0 for x0 in rest if gcd(x0, h) == 1 and _scan(k, h, x0)))
+    after the mirror x -> -x).  Each x0 is scanned once."""
+    return verify_height(k, h).open_residues()
 
 
 def _scan(k: int, h: int, x0: int) -> tuple | None:

@@ -51,11 +51,13 @@ window starts, read mod i, so a window maximum is one read.
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is Verified cannot beat a smaller
 height and are skipped, the rest are searched with the irreducibility
-cut.  A top-row pair (a, b) fixes the shear t = -((2a + h) // (2h)) that
-heights.reduce_height_sqrt2k uses to centre the least top point, and a
-node whose completions all keep |x + t*y| < h is dropped: shearing by t
-and turning a quarter takes every such set below height h.  The cut also
-drops every top row holding a point z whose centred residue |z + t_z*h|
+cut, against one below the tabulated N(k) and, if nothing beats that,
+again from the height <= 3 value (see max_size).  A top-row pair (a, b)
+fixes the shear t = -((2a + h) // (2h)) that heights.reduce_height_sqrt2k
+uses to centre the least top point, and a node whose completions all
+keep |x + t*y| < h is dropped: shearing by t and turning a quarter takes
+every such set below height h.  The cut also drops every top row
+holding a point z whose centred residue |z + t_z*h|
 heights.open_residues leaves out, t_z being z's own centring shear: that
 residue's certificate takes the set, mirrored by x -> -x if the residue is
 negative, below height h.  From a table built once per height, the root
@@ -73,7 +75,9 @@ from itertools import accumulate, compress
 from math import gcd, isqrt
 from operator import itemgetter, sub
 
-from .closedform import best_low_height_set, construct_height1, height_le3_max
+from .closedform import (
+    best_low_height_set, construct_height1, height_le3_max, pattern_or_table,
+)
 from .errors import VerificationError
 from .heights import open_residues, verify_height
 from .lattice import NiceSet
@@ -81,7 +85,7 @@ from .lattice import NiceSet
 
 class IntervalTables:
     """Per-row coprime tables over [0, k]: three columns by row, plus each
-    row's coprime list.
+    row's coprime list, and each height's open residues for the cut.
 
     Row i's window maximum over [a, b] is the largest number of z coprime
     to i in a subinterval [a', b'] with (b' - a') * i <= k; it bounds row
@@ -105,6 +109,9 @@ class IntervalTables:
         # coprimes[i] lists the z in [0, k] with gcd(z, i) = 1, ascending, so
         # coprimes[i][prefix[a]:prefix[b + 1]] are those in [a, b]
         self.coprimes: list[list[int]] = [[]]
+        # opened[h]: heights.open_residues(k, h), kept by max_size for both
+        # of its sweeps and the cut
+        self.opened = {}
 
     def columns(self, n: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
         """The (w, prefix, per) column lists, built out to row n together
@@ -350,13 +357,13 @@ def compute_with_witness(
     inside = False
     if irreducible_only:
         # inside[c]: the step from c to the next certified class mod h, > k if none
-        opened = open_residues(k, h)
+        opened = tables.opened.get(h) or open_residues(k, h)
         inside, step = [0] * h, k
         for c in range(2 * h - 1, -1, -1):
             step = 0 if gcd(c, h) == 1 and min(c % h, -c % h) not in opened else step + 1
             inside[c % h] = step
-    best: list = [None]
-    choices: list[tuple[int, int, int]] = []
+    best = [None]
+    choices = []
     lower = [0, 0] + [1] * (h - 1)
     upper = [0] + [k] * h
     ws, pres, pers = tables.columns(h)
@@ -364,7 +371,7 @@ def compute_with_witness(
     result = _backtrack(
         k, h, N, h, 0, lower, upper, full, tables, choices, best, 0, inside
     )
-    if result <= N or best[0] is None:
+    if result <= N:
         return result, None
     witness = _witness_from_choices(k, best[0])
     if len(witness) != result:
@@ -404,11 +411,19 @@ def max_size(k: int) -> SearchOutcome:
     maximum, N(1) = 3 and N(2) = 4 (the brute-force oracle agrees), so
     that set is the witness and per_height is empty.
 
-    For k >= 3, start from the height <= 3 closed form.  Any k-nice set
-    can be normalized to height at most sqrt(2k), so sweeping h from 2 to
-    floor(sqrt(2k)) covers everything: a Verified verdict at h means
-    height-h sets never beat smaller heights (no search needed), and the
-    remaining heights are searched with the irreducibility cut.
+    For k >= 3, any k-nice set can be normalized to height at most
+    sqrt(2k), so sweeping h from 2 to floor(sqrt(2k)) covers everything:
+    a height with no open residues (scanned once per height) never beats
+    smaller heights and is skipped, the rest are searched with the cut.
+
+    The sweep searches against the floor max(height_le3_max(k),
+    pattern_or_table(k).value - 1), and again from height_le3_max(k) if
+    no height beats it, so the answer never rests on the table.  The
+    search is exact above its baseline, so a sweep that beats the floor
+    has found N(k) and the same witness as one from height_le3_max(k): the
+    first set of that size in scan order, at the least height that has
+    one.  A higher baseline only prunes more.  per_height records the best
+    size witnessed, so an improvement below the floor is not recorded.
 
     The cut keeps N(k) exact.  It drops a set of height h only when every
     point has |x + t*y| < h, with t the shear of its least top point, so
@@ -422,28 +437,30 @@ def max_size(k: int) -> SearchOutcome:
     that image in the box at its own height, where the search looks:
     against the choice of least height.  The argument says nothing about
     per_height or the witness; the tests check that both match the exact
-    searches.
+    searches under the same two floors.
     """
     if k < 1:
         raise ValueError(f"max_size needs k >= 1, got {k}")
     if k < 3:
-        return SearchOutcome(k=k, max_size=k + 2, witness=construct_height1(k), per_height=())
-    N = height_le3_max(k)
-    witness = best_low_height_set(k)
+        return SearchOutcome(k, k + 2, construct_height1(k), ())
+    low = height_le3_max(k)
     tables = IntervalTables(k)
-    per_height: list[tuple[int, str, int]] = []
-    for h in range(2, isqrt(2 * k) + 1):
-        verdict = verify_height(k, h)
-        if verdict.verified:
-            per_height.append((h, "skipped-verified", N))
-            continue
-        result, found = compute_with_witness(k, h, N, tables, irreducible_only=True)
-        if result > N:
-            N = result
-            witness = found
-            per_height.append((h, "improved", N))
-        else:
-            per_height.append((h, "searched", N))
+    opened = tables.opened
+    for floor in (max(low, pattern_or_table(k).value - 1), low):
+        N, witness, per_height = low, best_low_height_set(k), []
+        for h in range(2, isqrt(2 * k) + 1):
+            if h not in opened:
+                opened[h] = verify_height(k, h).open_residues()
+            if not opened[h]:
+                per_height.append((h, "skipped-verified", N))
+                continue
+            result, found = compute_with_witness(
+                k, h, max(N, floor), tables, irreducible_only=True)
+            if found is not None:
+                N, witness = result, found
+            per_height.append((h, "searched" if found is None else "improved", N))
+        if N >= floor:  # beat the floor, or the floor was low
+            break
     if len(witness) != N:
         raise VerificationError(f"witness size {len(witness)} disagrees with N({k}) = {N}")
-    return SearchOutcome(k=k, max_size=N, witness=witness, per_height=tuple(per_height))
+    return SearchOutcome(k, N, witness, tuple(per_height))

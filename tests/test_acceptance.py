@@ -55,7 +55,7 @@ REFERENCE_DENSITY_TABLE = """\
 
 # sha256 over k = 3..200 of json.dumps(max_size(k).to_json_dict(),
 # sort_keys=True) + "\n"
-MAXIMA_DIGEST_TO_200 = "4aae223ef34d71bc7f042a968cd3afbdaa2ced5400ca921d2f92a53ac6bf3e9c"
+MAXIMA_DIGEST_TO_200 = "c75a1caea287caacb36f499022067adea1a3a94ac97dcb1fcd4df38236528213"
 
 
 def _report(n: int, what: str, t0: float) -> None:

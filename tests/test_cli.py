@@ -297,6 +297,23 @@ def test_table_mismatch_prints_the_table_and_exits_two(capsys, monkeypatch):
     )
 
 
+def test_table_mismatch_when_the_search_reads_the_same_table(capsys, monkeypatch):
+    # the search floors its sweep at one below the tabulated N(k); with the
+    # table overstated for both, the search falls back and still finds 30,
+    # so the check is not circular
+    def overstate_24(k):
+        pv = pattern_or_table(k)
+        return dataclasses.replace(pv, value=31) if k == 24 else pv
+
+    monkeypatch.setattr(cli, "pattern_or_table", overstate_24)
+    monkeypatch.setattr(search, "pattern_or_table", overstate_24)
+    assert run_cli(capsys, "table", "--from", "24", "--to", "24") == (
+        2,
+        "k,N,source\n24,31,table\n",
+        "verification failed: table mismatch: k=24: closed=31, search=30\n",
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [("compute", "--k", "24"), ("compute", "--k", "24", "--h", "5"),
@@ -582,3 +599,23 @@ def test_imports_stay_light():
         check=True,
     ).stdout
     assert out == "[]\n[]\n"
+
+
+def test_max_size_imports_no_lp():
+    # the maxima path compiles what it imports on every cold start: a search
+    # for N(120), which reads the exception table, must not pull in the LP
+    # or its bounds
+    src = Path(lp.__file__).resolve().parents[1]
+    unused = ("torusk.lp", "torusk.bounds", "torusk.numtheory")
+    code = (
+        "import sys\n"
+        "import torusk.search\n"
+        "torusk.search.max_size(120)\n"
+        f"print(sorted(m for m in {unused!r} if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

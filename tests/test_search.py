@@ -1,5 +1,6 @@
 """Branch-and-bound search over admissible row fillings."""
 
+import dataclasses
 import hashlib
 from math import gcd, isqrt
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusk import lattice, search
+from torusk import heights, lattice, search
 from torusk.closedform import best_low_height_set, height_le3_max, pattern_or_table
 from torusk.errors import VerificationError
 from torusk.heights import ROT, open_residues, reduce_height_sqrt2k, verify_height
@@ -444,22 +445,29 @@ def test_search_prunes_match_plain_pair_scan():
                     k, h, baseline)
 
 
-def _exact_max_size(k):
-    """max_size(k) with every searched height searched exactly."""
-    n = height_le3_max(k)
-    witness = best_low_height_set(k)
+def _exact_max_size(k, floor=None):
+    """max_size(k) with every searched height searched exactly: a sweep
+    against floor, by default max(height_le3_max(k), N(k) - 1) from the
+    table, and a second sweep from height_le3_max(k) if no height beats it.
+    floor = height_le3_max(k) is the one-sweep search from the height <= 3
+    value alone, which never reads the table."""
+    low = height_le3_max(k)
+    first = max(low, pattern_or_table(k).value - 1) if floor is None else floor
     tables = IntervalTables(k)
-    per_height = []
-    for h in range(2, isqrt(2 * k) + 1):
-        if verify_height(k, h).verified:
-            per_height.append((h, "skipped-verified", n))
-            continue
-        result, found = compute_with_witness(k, h, n, tables)
-        if result > n:
-            n, witness = result, found
-            per_height.append((h, "improved", n))
-        else:
-            per_height.append((h, "searched", n))
+    for floor in (first, low):
+        n, witness, per_height = low, best_low_height_set(k), []
+        for h in range(2, isqrt(2 * k) + 1):
+            if verify_height(k, h).verified:
+                per_height.append((h, "skipped-verified", n))
+                continue
+            result, found = compute_with_witness(k, h, max(n, floor), tables)
+            if result > max(n, floor):
+                n, witness = result, found
+                per_height.append((h, "improved", n))
+            else:
+                per_height.append((h, "searched", n))
+        if n >= floor:
+            break
     return search.SearchOutcome(k, n, witness, tuple(per_height))
 
 
@@ -468,6 +476,63 @@ def test_irreducibility_cut_keeps_max_size():
     # and the witness must match the exact searches too
     for k in range(3, 121):
         assert max_size(k) == _exact_max_size(k), k
+
+
+def _table_off_by(monkeypatch, delta):
+    """Make search read every tabulated N(k) moved by delta."""
+    def moved(k):
+        pv = pattern_or_table(k)
+        return dataclasses.replace(pv, value=pv.value + delta)
+
+    monkeypatch.setattr(search, "pattern_or_table", moved)
+
+
+@pytest.mark.parametrize("k", [24, 49, 100, 120])
+def test_overstated_table_falls_back_to_the_low_floor(monkeypatch, k):
+    # with N(k) one too high, no height beats the first floor, and the
+    # second sweep must give the one-sweep outcome from height_le3_max(k),
+    # per_height included; k = 100 is not exceptional, so its floors
+    # coincide.  The mutant that drops the second floor, looping over
+    # (max(low, pattern_or_table(k).value - 1),) alone, returns
+    # height_le3_max(k) with the height <= 3 witness at k = 24, 49 and 120
+    want = _exact_max_size(k, floor=height_le3_max(k))
+    _table_off_by(monkeypatch, 1)
+    out = max_size(k)
+    assert out == want
+    assert out.max_size == pattern_or_table(k).value
+    if k == 49:
+        assert (5, "improved", 53) in out.per_height
+
+
+def test_understated_table_still_finds_the_maximum(monkeypatch):
+    # 125 at k = 120 puts the floor at 124; the search still reaches 126
+    # with the witness of the one-sweep search
+    want = _exact_max_size(120, floor=height_le3_max(120))
+    _table_off_by(monkeypatch, -1)
+    out = max_size(120)
+    assert (out.max_size, out.witness) == (126, want.witness)
+
+
+def test_max_size_scans_each_residue_once(monkeypatch):
+    # a height's open residues decide both its skip and the cut, and a
+    # second sweep reuses them: no (k, h, x0) is scanned twice per max_size
+    real = heights._scan
+    seen = set()
+
+    def once(k, h, x0):
+        assert (k, h, x0) not in seen, (k, h, x0)
+        seen.add((k, h, x0))
+        return real(k, h, x0)
+
+    monkeypatch.setattr(heights, "_scan", once)
+    for k in range(3, 121):
+        seen.clear()
+        max_size(k)
+    _table_off_by(monkeypatch, 1)
+    for k in (24, 49, 120):
+        seen.clear()
+        max_size(k)
+        assert seen
 
 
 @pytest.mark.slow
@@ -595,15 +660,15 @@ def test_search_prune_work_stays_pinned(counted_tables):
 def test_irreducibility_cut_work_stays_pinned(counted_tables):
     # the same for the cut, which skips subtrees that stay inside the strip
     # |x + t*y| < h and top rows that hold a certified residue: max_size
-    # reads more than 28,987 with a cut without its pair gate, with a top
-    # row checked only at its least point (30,191) and with b_max left
+    # reads more than 25,203 with a cut without its pair gate (25,327), with
+    # a top row checked only at its least point (26,407) and with b_max left
     # uncapped, so that only the b loop stops before the next certified
-    # point (29,238); only a low baseline leaves rows empty often enough
-    # that a cut without its empty-row gate reads more than 301,594, and the
-    # uncapped b_max reads 301,818 there
+    # point (25,454); only a low baseline leaves rows empty often enough
+    # that a cut without its empty-row gate reads more than 301,594
+    # (303,176), and the uncapped b_max reads 301,818 there
     for k in range(40, 49):
         max_size(k)
-    assert 0 < _CountedList.reads <= 28_987
+    assert 0 < _CountedList.reads <= 25_203
     _CountedList.reads = 0
     for k in range(40, 49):
         tables = IntervalTables(k)
