@@ -10,8 +10,8 @@ bound for specific (k, h): when it reports verified, *every* k-nice set of
 height exactly h is equivalent to one of smaller height (so h can be skipped
 in an exhaustive search over heights).  A not-verified verdict carries the
 first witnessing scan point and says only that this certificate failed, not
-that an irreducible set exists; open_residues(k, h), or the verdict's own
-open_residues(), names the x0 it leaves open.
+that an irreducible set exists; its open_residues name every x0 it leaves
+open.
 
 map_jobs runs independent jobs in worker processes; sweep and the CLI's
 table both go through it.
@@ -41,21 +41,18 @@ class HeightVerdict:
     # On a not-verified verdict, the first failing scan point: (x0, y, x),
     # with y = x = None when the k >= h^2 + x0 early exit fired.
     witness: tuple | None = None
+    # The x0 in 1..h/2 coprime to h whose scan fails, ascending; empty
+    # exactly when verified.  The certificate holds per x0: a k-nice set of
+    # height h with a top point (z, h) whose centred residue z + t*h,
+    # t = -((2z + h) // (2h)), is +-x0 for an x0 not listed is equivalent to
+    # one of smaller height (for -x0, after the mirror x -> -x).
+    open_residues: tuple[int, ...] = ()
 
     def to_json_dict(self) -> dict:
         out = {"k": self.k, "h": self.h, "verified": self.verified}
         if self.witness is not None:
             out["witness"] = list(self.witness)
         return out
-
-    def open_residues(self) -> tuple[int, ...]:
-        """open_residues(k, h) from this verdict: the scan resumes after
-        the verdict's x0 instead of running verify_height again."""
-        if self.verified:
-            return ()
-        k, h, first = self.k, self.h, self.witness[0]
-        rest = range(first + 1, h // 2 + 1)
-        return (first, *(x0 for x0 in rest if gcd(x0, h) == 1 and _scan(k, h, x0)))
 
 
 def verify_height(k: int, h: int) -> HeightVerdict:
@@ -66,25 +63,15 @@ def verify_height(k: int, h: int) -> HeightVerdict:
     h and |x0| <= h/2, a widest point (x, y) with x >= h, and for the
     rotation not to help, a companion point forcing width w >= h among the
     points compatible with both.  The loops enumerate all candidate triples
-    exactly; all divisions are exact integer floor/ceil.
+    exactly; all divisions are exact integer floor/ceil.  Each x0 is
+    scanned once, and every failing one is kept as an open residue.
     """
     if not 2 <= h <= k:
         raise ValueError(f"verify_height needs 2 <= h <= k, got h={h}, k={k}")
-    for x0 in range(1, h // 2 + 1):
-        if gcd(x0, h) == 1 and (witness := _scan(k, h, x0)):
-            return HeightVerdict(k, h, False, witness)
-    return HeightVerdict(k, h, True)
-
-
-def open_residues(k: int, h: int) -> tuple[int, ...]:
-    """The x0 in 1..h/2 coprime to h whose part of verify_height's scan
-    fails, ascending; empty exactly when verify_height(k, h) verifies.
-
-    The certificate holds per x0: a k-nice set of height h with a top point
-    (z, h) whose centred residue z + t*h, t = -((2z + h) // (2h)), is +-x0
-    for an x0 not listed is equivalent to one of smaller height (for -x0,
-    after the mirror x -> -x).  Each x0 is scanned once."""
-    return verify_height(k, h).open_residues()
+    failed = [w for x0 in range(1, h // 2 + 1) if gcd(x0, h) == 1 and (w := _scan(k, h, x0))]
+    if not failed:
+        return HeightVerdict(k, h, True)
+    return HeightVerdict(k, h, False, failed[0], tuple(w[0] for w in failed))
 
 
 def _scan(k: int, h: int, x0: int) -> tuple | None:

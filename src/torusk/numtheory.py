@@ -89,10 +89,10 @@ def coprime_count(ell: int, lo: int, hi: int) -> int:
     fine (Python's // is floor division).  Note gcd(0, 1) = 1, so z = 0
     counts exactly when ell = 1.
     """
-    if hi < lo:
-        return 0
     if ell < 1:
         raise ValueError(f"coprime_count needs ell >= 1, got {ell}")
+    if hi < lo:
+        return 0
     return sum(mu * (hi // d - (lo - 1) // d) for d, mu in squarefree_divisors(ell))
 
 

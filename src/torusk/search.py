@@ -49,21 +49,21 @@ window counts as one period table: the largest count over each run of
 window starts, read mod i, so a window maximum is one read.
 
 max_size(k) combines the height <= 3 closed forms with per-height
-verification: heights whose verdict is Verified cannot beat a smaller
-height and are skipped, the rest are searched with the irreducibility
-cut, against one below the tabulated N(k) and, if nothing beats that,
-again from the height <= 3 value (see max_size).  A top-row pair (a, b)
-fixes the shear t = -((2a + h) // (2h)) that heights.reduce_height_sqrt2k
-uses to centre the least top point, and a node whose completions all
-keep |x + t*y| < h is dropped: shearing by t and turning a quarter takes
-every such set below height h.  The cut also drops every top row
-holding a point z whose centred residue |z + t_z*h|
-heights.open_residues leaves out, t_z being z's own centring shear: that
-residue's certificate takes the set, mirrored by x -> -x if the residue is
-negative, below height h.  From a table built once per height, the root
-skips such an a and ends b before the next one.  The result is at most
-the exact per-height maximum, and max_size's final N(k) is still exact
-(see max_size); compute and compute_with_witness without irreducible_only
+verification: heights whose verdict is verified cannot beat a smaller
+height and are skipped, the rest are searched with the irreducibility cut,
+given the height's verdict, against one below the tabulated N(k) and, if
+nothing beats that, again from the height <= 3 value (see max_size).  A
+top-row pair (a, b) fixes the shear t = -((2a + h) // (2h)) that
+heights.reduce_height_sqrt2k uses to centre the least top point, and a
+node whose completions all keep |x + t*y| < h is dropped: shearing by t
+and turning a quarter takes every such set below height h.  The cut also
+drops every top row holding a point z whose centred residue |z + t_z*h|
+the verdict's open_residues leave out, t_z being z's own centring shear:
+that residue's certificate takes the set, mirrored by x -> -x if the
+residue is negative, below height h.  From a table built once per height,
+the root skips such an a and ends b before the next one.  The result is at
+most the exact per-height maximum, and max_size's final N(k) is still
+exact (see max_size); compute and compute_with_witness without a verdict
 return the exact per-height maximum.
 """
 
@@ -79,13 +79,13 @@ from .closedform import (
     best_low_height_set, construct_height1, height_le3_max, pattern_or_table,
 )
 from .errors import VerificationError
-from .heights import open_residues, verify_height
+from .heights import HeightVerdict, verify_height
 from .lattice import NiceSet
 
 
 class IntervalTables:
     """Per-row coprime tables over [0, k]: three columns by row, plus each
-    row's coprime list, and each height's open residues for the cut.
+    row's coprime list.
 
     Row i's window maximum over [a, b] is the largest number of z coprime
     to i in a subinterval [a', b'] with (b' - a') * i <= k; it bounds row
@@ -109,9 +109,6 @@ class IntervalTables:
         # coprimes[i] lists the z in [0, k] with gcd(z, i) = 1, ascending, so
         # coprimes[i][prefix[a]:prefix[b + 1]] are those in [a, b]
         self.coprimes: list[list[int]] = [[]]
-        # opened[h]: heights.open_residues(k, h), kept by max_size for both
-        # of its sweeps and the cut
-        self.opened = {}
 
     def columns(self, n: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
         """The (w, prefix, per) column lists, built out to row n together
@@ -339,12 +336,12 @@ def _witness_from_choices(k: int, choices: list[tuple[int, int, int]]) -> NiceSe
 
 def compute_with_witness(
     k: int, h: int, N: int, tables: IntervalTables | None = None, *,
-    irreducible_only: bool = False,
+    verdict: HeightVerdict | None = None,
 ) -> tuple[int, NiceSet | None]:
     """compute(k, h, N) plus the set behind an improved value, if any.
 
-    irreducible_only skips the sets that the shear and quarter turn of
-    heights.reduce_height_sqrt2k move below height h (see max_size).
+    Given verify_height(k, h)'s verdict, the search skips the sets that
+    max_size's cut drops; without one it is exact.
     """
     if not (2 <= h <= k):
         raise ValueError(f"need 2 <= h <= k, got h = {h}, k = {k}")
@@ -355,9 +352,11 @@ def compute_with_witness(
     elif tables.k != k:
         raise ValueError("tables were built for a different k")
     inside = False
-    if irreducible_only:
+    if verdict is not None:
+        if (verdict.k, verdict.h) != (k, h):
+            raise ValueError(f"verdict was made for (k, h) = ({verdict.k}, {verdict.h})")
         # inside[c]: the step from c to the next certified class mod h, > k if none
-        opened = tables.opened.get(h) or open_residues(k, h)
+        opened = verdict.open_residues
         inside, step = [0] * h, k
         for c in range(2 * h - 1, -1, -1):
             step = 0 if gcd(c, h) == 1 and min(c % h, -c % h) not in opened else step + 1
@@ -413,8 +412,8 @@ def max_size(k: int) -> SearchOutcome:
 
     For k >= 3, any k-nice set can be normalized to height at most
     sqrt(2k), so sweeping h from 2 to floor(sqrt(2k)) covers everything:
-    a height with no open residues (scanned once per height) never beats
-    smaller heights and is skipped, the rest are searched with the cut.
+    a verified height never beats smaller heights and is skipped, the rest
+    are searched with the cut, each given its verdict.
 
     The sweep searches against the floor max(height_le3_max(k),
     pattern_or_table(k).value - 1), and again from height_le3_max(k) if
@@ -429,15 +428,15 @@ def max_size(k: int) -> SearchOutcome:
     point has |x + t*y| < h, with t the shear of its least top point, so
     that shearing by t and applying heights.ROT gives an equivalent set of
     lower height, or when some top point has a centred residue whose
-    certificate holds (heights.open_residues), so that the set, mirrored
-    by x -> -x if that residue is negative, is equivalent to one of lower
-    height too.  Take a canonical maximum set of least height.  Had the
-    cut dropped it, its image would be a maximum set, hence
-    inclusion-maximal, of lower height, and canonical_position would put
-    that image in the box at its own height, where the search looks:
-    against the choice of least height.  The argument says nothing about
-    per_height or the witness; the tests check that both match the exact
-    searches under the same two floors.
+    certificate holds (it is not among the verdict's open_residues), so
+    that the set, mirrored by x -> -x if that residue is negative, is
+    equivalent to one of lower height too.  Take a canonical maximum set
+    of least height.  Had the cut dropped it, its image would be a maximum
+    set, hence inclusion-maximal, of lower height, and canonical_position
+    would put that image in the box at its own height, where the search
+    looks: against the choice of least height.  The argument says nothing
+    about per_height or the witness; the tests check that both match the
+    exact searches under the same two floors.
     """
     if k < 1:
         raise ValueError(f"max_size needs k >= 1, got {k}")
@@ -445,17 +444,16 @@ def max_size(k: int) -> SearchOutcome:
         return SearchOutcome(k, k + 2, construct_height1(k), ())
     low = height_le3_max(k)
     tables = IntervalTables(k)
-    opened = tables.opened
+    verdicts = [verify_height(k, h) for h in range(2, isqrt(2 * k) + 1)]
     for floor in (max(low, pattern_or_table(k).value - 1), low):
         N, witness, per_height = low, best_low_height_set(k), []
-        for h in range(2, isqrt(2 * k) + 1):
-            if h not in opened:
-                opened[h] = verify_height(k, h).open_residues()
-            if not opened[h]:
+        for verdict in verdicts:
+            h = verdict.h
+            if verdict.verified:
                 per_height.append((h, "skipped-verified", N))
                 continue
             result, found = compute_with_witness(
-                k, h, max(N, floor), tables, irreducible_only=True)
+                k, h, max(N, floor), tables, verdict=verdict)
             if found is not None:
                 N, witness = result, found
             per_height.append((h, "searched" if found is None else "improved", N))

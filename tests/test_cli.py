@@ -603,10 +603,10 @@ def test_imports_stay_light():
 
 def test_max_size_imports_no_lp():
     # the maxima path compiles what it imports on every cold start: a search
-    # for N(120), which reads the exception table, must not pull in the LP
-    # or its bounds
+    # for N(120), which reads the exception table, must not pull in the LP,
+    # its bounds or hashlib, which loads OpenSSL's libcrypto
     src = Path(lp.__file__).resolve().parents[1]
-    unused = ("torusk.lp", "torusk.bounds", "torusk.numtheory")
+    unused = ("torusk.lp", "torusk.bounds", "torusk.numtheory", "hashlib", "_hashlib")
     code = (
         "import sys\n"
         "import torusk.search\n"

@@ -1,5 +1,7 @@
 """Exception table, mod-6 pattern, and the explicit constructions."""
 
+import hashlib
+
 import pytest
 
 from torusk import lattice
@@ -25,6 +27,14 @@ def test_table_shape():
     assert EXCEPTIONS[168] == 174
     assert EXCEPTIONS[384] == 387
     assert max(EXCEPTIONS) == 384
+
+
+def test_table_checksum():
+    # a typo in a row, or a duplicate key that drops one, changes the
+    # digest; only the slow tier re-derives the rows above k = 200
+    blob = "\n".join(f"{k}:{n}" for k, n in sorted(EXCEPTIONS.items())).encode()
+    want = "5247cbc522f463704065fe1d0ebde03573dac511f2c37e03aeb52bb2e8a75d21"
+    assert hashlib.sha256(blob).hexdigest() == want
 
 
 def test_every_exception_differs_from_pattern():

@@ -10,7 +10,6 @@ from torusk.heights import (
     ROT,
     ceil_div,
     map_jobs,
-    open_residues,
     reduction_range,
     reduce_height_sqrt2k,
     sweep,
@@ -78,11 +77,11 @@ def test_sweep_threads_agree():
 def test_open_residues_agree_with_verdicts():
     # over the sweep to 400 and every height max_size meets to k = 200: no
     # open residue exactly when the height verifies, else the least one is
-    # the verdict's witness x0, and every one is coprime to h, at most h/2
+    # the witness's x0, and every one is coprime to h, at most h/2
     searched = [verify_height(k, h) for k in range(3, 201) for h in range(2, isqrt(2 * k) + 1)]
     for v in set(sweep(2, 400) + searched):
-        opened = open_residues(v.k, v.h)
-        assert (opened == ()) == v.verified, v
+        opened = v.open_residues
+        assert v.verified == (not opened), v
         assert list(opened) == sorted(set(opened)), v
         assert all(gcd(x0, v.h) == 1 and 1 <= x0 <= v.h // 2 for x0 in opened), v
         if opened:
@@ -94,7 +93,7 @@ def test_open_residues_agree_with_verdicts():
     [(136, 13, (4, 5, 6)), (1400, 43, (18, 19, 20, 21)), (1890, 50, (23,))],
 )
 def test_open_residues_examples(k, h, opened):
-    assert open_residues(k, h) == opened
+    assert verify_height(k, h).open_residues == opened
 
 
 def test_map_jobs_runs_one_job_or_one_thread_in_process(monkeypatch):

@@ -106,6 +106,13 @@ def test_coprime_count_matches_naive(ell, lo, span):
     assert coprime_count(ell, lo, hi) == naive
 
 
+@pytest.mark.parametrize(("lo", "hi"), [(1, 5), (1, 0), (3, -2)])
+def test_coprime_count_checks_ell_before_empty_interval(lo, hi):
+    with pytest.raises(ValueError, match="ell >= 1"):
+        coprime_count(0, lo, hi)
+    assert coprime_count(6, lo, hi) == sum(1 for z in range(lo, hi + 1) if gcd(z, 6) == 1)
+
+
 def test_rho_values():
     assert rho(1) == 1
     assert rho(2) == Fraction(1, 2)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from torusk import heights, lattice, search
 from torusk.closedform import best_low_height_set, height_le3_max, pattern_or_table
 from torusk.errors import VerificationError
-from torusk.heights import ROT, open_residues, reduce_height_sqrt2k, verify_height
+from torusk.heights import ROT, reduce_height_sqrt2k, verify_height
 from torusk.oracle import brute_force_max
 from torusk.search import IntervalTables, compute, compute_with_witness, max_size
 
@@ -202,6 +202,13 @@ def test_compute_validates_arguments():
         compute(5, 2, 0)
 
 
+@pytest.mark.parametrize(("k", "h"), [(41, 6), (40, 7)])
+def test_compute_rejects_verdict_for_other_height(k, h):
+    # the cut reads the verdict's open residues as those of (40, 6)
+    with pytest.raises(ValueError, match=rf"verdict was made for \(k, h\) = \({k}, {h}\)"):
+        compute_with_witness(40, 6, 1, verdict=verify_height(k, h))
+
+
 @pytest.mark.parametrize("k", list(range(3, 41)))
 def test_max_size_small_range(k):
     out = max_size(k)
@@ -315,22 +322,22 @@ def _certified_top_rows_max(k, h, N, tables, opened):
 
 
 def test_certified_top_rows_never_improve():
-    # the cut drops every top row holding a point whose residue
-    # open_residues leaves out; searching exactly over just those rows
-    # must not beat N(k)
+    # the cut drops every top row holding a point whose residue the
+    # verdict's open_residues leave out; searching exactly over just those
+    # rows must not beat N(k)
     searched = 0
     for k in range(3, 81):
         n_k = pattern_or_table(k).value
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
-            opened = open_residues(k, h)
+            opened = verify_height(k, h).open_residues
             coprime = [x0 for x0 in range(1, h // 2 + 1) if gcd(x0, h) == 1]
             if opened and len(opened) < len(coprime):
                 searched += 1
                 assert _certified_top_rows_max(k, h, n_k, tables, opened) == n_k, (k, h)
     assert searched > 0
     # and the restricted search does reach N(k) where it can
-    opened = open_residues(40, 7)
+    opened = verify_height(40, 7).open_residues
     assert _certified_top_rows_max(40, 7, 1, IntervalTables(40), opened) == 42
 
 
@@ -551,11 +558,10 @@ def test_irreducibility_cut_drops_only_reducible_sets():
         n_k = pattern_or_table(k).value
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
+            verdict = verify_height(k, h)
             for baseline in (1, k + 2, n_k - 1):
                 exact, witness = compute_with_witness(k, h, baseline, tables)
-                cut = compute_with_witness(
-                    k, h, baseline, tables, irreducible_only=True
-                )[0]
+                cut = compute_with_witness(k, h, baseline, tables, verdict=verdict)[0]
                 assert baseline <= cut <= exact, (k, h, baseline)
                 if cut == exact:
                     continue
@@ -581,8 +587,8 @@ def _leaves_strip(choices):
 def _kept_by_cut(k, h):
     """The irreducibility cut in full, as a filter on a set's choices: the
     set leaves the strip, and every coprime point of its top row has a
-    centred residue that heights.open_residues leaves open."""
-    opened = open_residues(k, h)
+    centred residue that verify_height(k, h) leaves open."""
+    opened = verify_height(k, h).open_residues
 
     def keep(choices):
         _, a, b = choices[0]
@@ -603,11 +609,10 @@ def test_irreducibility_cut_matches_filtered_pair_scan():
         n_k = pattern_or_table(k).value
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
+            verdict = verify_height(k, h)
             for baseline in (k + 2, n_k - 1):
                 want = _reference_compute(k, h, baseline, tables, _kept_by_cut(k, h))
-                got = compute_with_witness(
-                    k, h, baseline, tables, irreducible_only=True
-                )
+                got = compute_with_witness(k, h, baseline, tables, verdict=verdict)
                 assert got == want, (k, h, baseline)
 
 
@@ -673,7 +678,7 @@ def test_irreducibility_cut_work_stays_pinned(counted_tables):
     for k in range(40, 49):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
-            compute_with_witness(k, h, 1, tables, irreducible_only=True)
+            compute_with_witness(k, h, 1, tables, verdict=verify_height(k, h))
     assert 0 < _CountedList.reads <= 301_594
 
 
