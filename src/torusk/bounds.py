@@ -1,10 +1,10 @@
 """Exact verification of the inequality suite behind the size bounds.
 
 Every verdict here is an exact rational comparison: pi enters only
-through the enclosure 311/99 < pi < 355/113, with the upper endpoint
-used on the large side of each strict inequality.  The reports feed the
-argument that for k past an explicit threshold no set of height >= 4
-can beat the height <= 3 closed forms.
+through the upper bound pi < 355/113, used on the large side of each
+strict inequality.  The reports feed the argument that for k past an
+explicit threshold no set of height >= 4 can beat the height <= 3
+closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from math import isqrt
 from .numtheory import beta, rho, alpha, small_prime_part
 from .lp import gamma
 
-PI_LO = Fraction(311, 99)
 PI_HI = Fraction(355, 113)
 
 # coefficient of k in the density bound; needs pi's upper endpoint < 1
@@ -87,8 +86,9 @@ def check_sum210() -> BoundReport:
     )
 
 
-def density_bound(k: int, h: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of (3264 pi / 10255) k + (4946/3675) h + 1.
+def density_bound(k: int, h: int) -> Fraction:
+    """An upper value of (3264 pi / 10255) k + (4946/3675) h + 1, with
+    pi < 355/113.
 
     Upper bounds the size of a k-nice set of height h once h is large
     (the analytic argument needs h >= 41020; the formula itself is
@@ -96,23 +96,19 @@ def density_bound(k: int, h: int) -> tuple[Fraction, Fraction]:
     """
     if k < 1 or h < 1:
         raise ValueError(f"k and h must be positive, got k = {k}, h = {h}")
-    tail = SUM210_SLOPE * h + 1
-    lo = Fraction(3264) * PI_LO / 10255 * k + tail
-    hi = DENSITY_COEFF_HI * k + tail
-    return lo, hi
+    return DENSITY_COEFF_HI * k + SUM210_SLOPE * h + 1
 
 
 def check_density_threshold() -> BoundReport:
     """Density bound beats k + 3 at k = h0^2 / 2 for the pivot h0 = 41020.
 
-    With k >= h0^2 / 2 forced by the height, the upper endpoint of
-    density_bound(k, h0) must stay below k + 3; combined with the
-    coefficient of k being < 1 this kills all heights >= h0 at large k.
+    With k >= h0^2 / 2 forced by the height, density_bound(k, h0) must
+    stay below k + 3; combined with the coefficient of k being < 1 this
+    kills all heights >= h0 at large k.
     """
     h0 = 41020
     k0 = h0 * h0 // 2
-    _, hi = density_bound(k0, h0)
-    slack = Fraction(k0 + 3) - hi
+    slack = Fraction(k0 + 3) - density_bound(k0, h0)
     return BoundReport(
         name="density-threshold",
         range=f"h0 = {h0}, k = {k0}",

@@ -297,30 +297,6 @@ def gamma(ell: int) -> GammaValue:
     return _solve_northwest(ell)
 
 
-def primal_witness_small(ell: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The hand-checkable optimal points for ell <= 3 (objective exactly 1)."""
-    table = {
-        1: ((ZERO,), (ONE,)),
-        2: (
-            (ZERO, Fraction(1, 2)),
-            (Fraction(3, 4), ONE),
-        ),
-        3: (
-            (ZERO, Fraction(1, 3), Fraction(2, 3)),
-            (Fraction(5, 9), Fraction(7, 9), ONE),
-        ),
-    }
-    if ell not in table:
-        raise ValueError(f"primal_witness_small covers ell in {{1, 2, 3}}, got {ell}")
-    sigma, tau = table[ell]
-    problem = check_primal(ell, sigma, tau)
-    if problem is not None:
-        raise VerificationError(f"small witness infeasible at ell={ell}: {problem}")
-    if primal_objective(ell, sigma, tau) != 1:
-        raise VerificationError(f"small witness objective not 1 at ell={ell}")
-    return table[ell]
-
-
 # --- dual certificate matrices ---------------------------------------------
 
 

@@ -50,18 +50,15 @@ window starts, read mod i, so a window maximum is one read.
 
 max_size(k) combines the height <= 3 closed forms with per-height
 verification: heights whose verdict is verified cannot beat a smaller
-height and are skipped, the rest are searched with the irreducibility cut,
+height and are skipped, the rest are searched with the residue cut,
 given the height's verdict, against one below the tabulated N(k) and, if
-nothing beats that, again from the height <= 3 value (see max_size).  A
-top-row pair (a, b) fixes the shear t = -((2a + h) // (2h)) that
-heights.reduce_height_sqrt2k uses to centre the least top point, and a
-node whose completions all keep |x + t*y| < h is dropped: shearing by t
-and turning a quarter takes every such set below height h.  The cut also
-drops every top row holding a point z whose centred residue |z + t_z*h|
-the verdict's open_residues leave out, t_z being z's own centring shear:
-that residue's certificate takes the set, mirrored by x -> -x if the
-residue is negative, below height h.  From a table built once per height,
-the root skips such an a and ends b before the next one.  The result is at
+nothing beats that, again from the height <= 3 value (see max_size).  The
+cut drops every top row holding a point z whose centred residue
+z + t*h, t = -((2z + h) // (2h)), is +-x0 for an x0 that the verdict's
+open_residues leave out: that residue's certificate takes the set,
+mirrored by x -> -x if the residue is negative, below height h.  From a
+table built once per height, the root skips such an a and ends b before
+the next one; no node below the root reads the table.  The result is at
 most the exact per-height maximum, and max_size's final N(k) is still
 exact (see max_size); compute and compute_with_witness without a verdict
 return the exact per-height maximum.
@@ -158,8 +155,7 @@ def _backtrack(
     tables: IntervalTables,
     choices: list[tuple[int, int, int]],
     best: list,
-    t: int,
-    inside: bool,
+    cut: list[int] | bool,
 ) -> int:
     """Best size above N with rows above ell fixed, contributing n_gt points.
 
@@ -167,10 +163,9 @@ def _backtrack(
     padding), and full[i] for 1 <= i < ell is row i's window maximum over
     it (0 when the interval is empty).  The lists may run past ell, are
     only read, and the intervals only shrink as the recursion descends.
-    While inside is set, every fixed point has |x + t*y| < h, and only
-    completions that leave that strip are searched.  At the root it is False
-    or the cut's table: inside[c] steps from c to the next class mod h with
-    a certified centred residue (0 for c), and each top-row a picks its t.
+    cut is False or the residue cut's table, handed down unchanged and read
+    only at the root (ell == h): cut[c] steps from c to the next class mod h
+    with a certified centred residue (0 for c itself).
     """
     if ell == 0:
         # every path reaching the bottom was pruned against the current N,
@@ -180,12 +175,10 @@ def _backtrack(
     base = n_gt + 1
     # full[i] bounds row i over [L[i], U[i]], so over every subinterval too
     top = base + sum(full[:ell])
-    if ell < h and top > N and not (inside and _stays_inside(h, t, ell, L, U)):
+    if ell < h and top > N:
         # option: leave row ell empty (the top row h must stay occupied);
         # rows below keep their intervals and so their bounds
-        N = _backtrack(
-            k, h, N, ell - 1, n_gt, L, U, full, tables, choices, best, t, inside
-        )
+        N = _backtrack(k, h, N, ell - 1, n_gt, L, U, full, tables, choices, best, cut)
     lo_ell, hi_ell = L[ell], U[ell]
     if lo_ell > hi_ell:
         return N
@@ -215,7 +208,7 @@ def _backtrack(
         key=itemgetter(3), reverse=True,
     )
     w_ell, pre_ell = ws[ell], pres[ell]
-    root_cut = inside and ell == h
+    root_cut = cut and ell == h
     terms = [0] * ell
     upper = [0] * ell
     low = [0] * ell
@@ -225,12 +218,11 @@ def _backtrack(
         # row ell; swapping full[i] for row i's term at a only lowers bound
         b_max = a + w_ell
         if root_cut:  # skip a certified a, or end the row before the next one
-            d = inside[a % h]
+            d = cut[a % h]
             if not d:
                 continue
             if d <= w_ell:
                 b_max = a + d - 1
-            t = -((2 * a + h) // (2 * h))
         if b_max > hi_ell:
             b_max = hi_ell
         span = pre_ell[b_max + 1] - pre_ell[a]
@@ -301,30 +293,13 @@ def _backtrack(
                 continue
             # low and sub now hold the child's lower ends and its window
             # maxima over [low, upper]
-            stays = inside and -h < a + t * ell and b + t * ell < h
-            if stays and _stays_inside(h, t, ell, low, upper):
-                # lower ends only grow with b, so every b < h - t*ell stays too
-                c = h - t * ell
-                if c > b_max:
-                    c = b_max + 1
-                cap = pre_ell[c] - pre_a
-                continue
             choices.append((ell, a, b))
             N = _backtrack(
                 k, h, N, ell - 1, n_gt + row_count, low, upper, sub, tables,
-                choices, best, t, stays,
+                choices, best, cut,
             )
             choices.pop()
     return N
-
-
-def _stays_inside(h: int, t: int, ell: int, lower: list[int], upper: list[int]) -> bool:
-    """No open row i < ell has room for a point with |x + t*i| >= h."""
-    for i in range(1, ell):
-        lo, hi = lower[i], upper[i]
-        if lo <= hi and (hi + t * i >= h or lo + t * i <= -h):
-            return False
-    return True
 
 
 def _witness_from_choices(k: int, choices: list[tuple[int, int, int]]) -> NiceSet:
@@ -351,25 +326,23 @@ def compute_with_witness(
         tables = IntervalTables(k)
     elif tables.k != k:
         raise ValueError("tables were built for a different k")
-    inside = False
+    cut = False
     if verdict is not None:
         if (verdict.k, verdict.h) != (k, h):
             raise ValueError(f"verdict was made for (k, h) = ({verdict.k}, {verdict.h})")
-        # inside[c]: the step from c to the next certified class mod h, > k if none
+        # cut[c]: the step from c to the next certified class mod h, > k if none
         opened = verdict.open_residues
-        inside, step = [0] * h, k
+        cut, step = [0] * h, k
         for c in range(2 * h - 1, -1, -1):
             step = 0 if gcd(c, h) == 1 and min(c % h, -c % h) not in opened else step + 1
-            inside[c % h] = step
+            cut[c % h] = step
     best = [None]
     choices = []
     lower = [0, 0] + [1] * (h - 1)
     upper = [0] + [k] * h
     ws, pres, pers = tables.columns(h)
     full = [0] + [_window_max(ws[i], pres[i], pers[i], lower[i], k) for i in range(1, h)]
-    result = _backtrack(
-        k, h, N, h, 0, lower, upper, full, tables, choices, best, 0, inside
-    )
+    result = _backtrack(k, h, N, h, 0, lower, upper, full, tables, choices, best, cut)
     if result <= N:
         return result, None
     witness = _witness_from_choices(k, best[0])
@@ -424,19 +397,17 @@ def max_size(k: int) -> SearchOutcome:
     one.  A higher baseline only prunes more.  per_height records the best
     size witnessed, so an improvement below the floor is not recorded.
 
-    The cut keeps N(k) exact.  It drops a set of height h only when every
-    point has |x + t*y| < h, with t the shear of its least top point, so
-    that shearing by t and applying heights.ROT gives an equivalent set of
-    lower height, or when some top point has a centred residue whose
-    certificate holds (it is not among the verdict's open_residues), so
-    that the set, mirrored by x -> -x if that residue is negative, is
-    equivalent to one of lower height too.  Take a canonical maximum set
-    of least height.  Had the cut dropped it, its image would be a maximum
-    set, hence inclusion-maximal, of lower height, and canonical_position
-    would put that image in the box at its own height, where the search
-    looks: against the choice of least height.  The argument says nothing
-    about per_height or the witness; the tests check that both match the
-    exact searches under the same two floors.
+    The residue cut keeps N(k) exact.  It drops a set of height h only
+    when some top point has a centred residue whose certificate holds (it
+    is not among the verdict's open_residues), so that the set, mirrored
+    by x -> -x if that residue is negative, is equivalent to one of lower
+    height.  Take a canonical maximum set of least height.  Had the cut
+    dropped it, its image would be a maximum set, hence inclusion-maximal,
+    of lower height, and canonical_position would put that image in the
+    box at its own height, where the search looks: against the choice of
+    least height.  The argument says nothing about per_height or the
+    witness; the tests check that both match the exact searches under the
+    same two floors.
     """
     if k < 1:
         raise ValueError(f"max_size needs k >= 1, got {k}")

@@ -37,7 +37,6 @@ from torusk.lp import (
     gamma_upper_bound,
     perturbed_dual_matrix,
     primal_objective,
-    primal_witness_small,
     verify_gamma,
 )
 
@@ -74,9 +73,19 @@ def test_gamma_is_one_up_to_three():
         assert gamma(ell).gamma == 1
 
 
+# hand-checkable optimal points (sigma, tau) for ell <= 3, objective exactly 1
+SMALL_WITNESSES = {
+    1: ((Fraction(0),), (Fraction(1),)),
+    2: ((Fraction(0), Fraction(1, 2)), (Fraction(3, 4), Fraction(1))),
+    3: (
+        (Fraction(0), Fraction(1, 3), Fraction(2, 3)),
+        (Fraction(5, 9), Fraction(7, 9), Fraction(1)),
+    ),
+}
+
+
 def test_small_witnesses_feasible_and_optimal():
-    for ell in (1, 2, 3):
-        sigma, tau = primal_witness_small(ell)
+    for ell, (sigma, tau) in SMALL_WITNESSES.items():
         assert check_primal(ell, sigma, tau) is None
         assert primal_objective(ell, sigma, tau) == 1
 

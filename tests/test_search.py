@@ -316,7 +316,7 @@ def _certified_top_rows_max(k, h, N, tables, opened):
                 continue
             N = search._backtrack(
                 k, h, N, h - 1, len(row), low, up, full, tables, [(h, a, b)], [None],
-                0, False,
+                False,
             )
     return N
 
@@ -544,15 +544,16 @@ def test_max_size_scans_each_residue_once(monkeypatch):
 
 @pytest.mark.slow
 def test_irreducibility_cut_keeps_max_size_to_400():
-    # opt-in (pytest -m slow): about 4 min on a 2-core host
+    # opt-in (pytest -m slow): about 2 min on a 2-core host
     for k in range(121, 401):
         assert max_size(k) == _exact_max_size(k), k
 
 
 def test_irreducibility_cut_drops_only_reducible_sets():
-    # where the cut lowers a height's result, every set of the exact
-    # maximum is reducible, so the exact witness is: its top row's shear
-    # and a quarter turn take it below height h
+    # where the residue cut lowers a height's result, every set of the
+    # exact maximum has a top point with a certified residue and so is
+    # reducible; so is the exact witness, and on these cells the shear that
+    # centres its least top point and a quarter turn take it below height h
     lowered = 0
     for k in range(13, 61):
         n_k = pattern_or_table(k).value
@@ -576,23 +577,15 @@ def test_irreducibility_cut_drops_only_reducible_sets():
     assert lowered > 0
 
 
-def _leaves_strip(choices):
-    """Whether a set's row endpoints leave |x + t*y| < h, with t the shear
-    that centres the least top point, as heights.reduce_height_sqrt2k does."""
-    h, a_top, _ = choices[0]
-    t = -((2 * a_top + h) // (2 * h))
-    return any(b + t * ell >= h or a + t * ell <= -h for ell, a, b in choices)
-
-
 def _kept_by_cut(k, h):
-    """The irreducibility cut in full, as a filter on a set's choices: the
-    set leaves the strip, and every coprime point of its top row has a
-    centred residue that verify_height(k, h) leaves open."""
+    """The residue cut as a filter on a set's choices: every coprime point
+    of its top row has a centred residue that verify_height(k, h) leaves
+    open."""
     opened = verify_height(k, h).open_residues
 
     def keep(choices):
         _, a, b = choices[0]
-        return _leaves_strip(choices) and all(
+        return all(
             min(z % h, -z % h) in opened for z in range(a, b + 1) if gcd(z, h) == 1
         )
 
@@ -602,7 +595,7 @@ def _kept_by_cut(k, h):
 def test_irreducibility_cut_matches_filtered_pair_scan():
     # the cut may only skip subtrees without a set that it keeps: value and
     # witness must be those of a plain scan that counts only the sets that
-    # leave the strip and have no certified top point (baseline 1 is left
+    # have no certified top point (baseline 1 is left
     # out: where no set is kept, the plain scan never raises N and walks
     # the whole tree)
     for k in range(13, 39):
@@ -663,23 +656,22 @@ def test_search_prune_work_stays_pinned(counted_tables):
 
 
 def test_irreducibility_cut_work_stays_pinned(counted_tables):
-    # the same for the cut, which skips subtrees that stay inside the strip
-    # |x + t*y| < h and top rows that hold a certified residue: max_size
-    # reads more than 25,203 with a cut without its pair gate (25,327), with
-    # a top row checked only at its least point (26,407) and with b_max left
+    # the same for the residue cut, which skips top rows that hold a
+    # certified residue: max_size reads more than 25,327 with a top row
+    # checked only at its least point (26,810) and with b_max left
     # uncapped, so that only the b loop stops before the next certified
-    # point (25,454); only a low baseline leaves rows empty often enough
-    # that a cut without its empty-row gate reads more than 301,594
-    # (303,176), and the uncapped b_max reads 301,818 there
+    # point (25,578); at baseline 1 the uncapped b_max reads more than
+    # 296,412 too (296,639).  The cut is read only at the root, whose row
+    # is never left empty, so no empty-row gate is the cut's to pin
     for k in range(40, 49):
         max_size(k)
-    assert 0 < _CountedList.reads <= 25_203
+    assert 0 < _CountedList.reads <= 25_327
     _CountedList.reads = 0
     for k in range(40, 49):
         tables = IntervalTables(k)
         for h in range(2, isqrt(2 * k) + 1):
             compute_with_witness(k, h, 1, tables, verdict=verify_height(k, h))
-    assert 0 < _CountedList.reads <= 301_594
+    assert 0 < _CountedList.reads <= 296_412
 
 
 def test_passed_down_bounds_match_recomputed(monkeypatch):
@@ -689,13 +681,13 @@ def test_passed_down_bounds_match_recomputed(monkeypatch):
     real = search._backtrack
     nodes = 0
 
-    def checking(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside):
+    def checking(k, h, N, ell, n_gt, L, U, full, tables, choices, best, cut):
         nonlocal nodes
         nodes += 1
         for i in range(1, ell):
             want = table_window_max(tables, i, L[i], U[i]) if L[i] <= U[i] else 0
             assert full[i] == want, (k, h, ell, i)
-        return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside)
+        return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, cut)
 
     monkeypatch.setattr(search, "_backtrack", checking)
     for k in range(13, 41):
@@ -716,10 +708,10 @@ def test_node_intervals_match_fixed_rows(monkeypatch):
     real = search._backtrack
     nodes = 0
 
-    def checking(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside):
+    def checking(k, h, N, ell, n_gt, L, U, full, tables, choices, best, cut):
         nonlocal nodes
         if ell == h:
-            return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside)
+            return real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, cut)
         nodes += 1
         want = []
         for i in range(1, ell + 1):
@@ -731,7 +723,7 @@ def test_node_intervals_match_fixed_rows(monkeypatch):
             want.append((lo, hi))
         where = (k, h, N, list(choices), ell)
         assert list(zip(L[1 : ell + 1], U[1 : ell + 1])) == want, where
-        result = real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, t, inside)
+        result = real(k, h, N, ell, n_gt, L, U, full, tables, choices, best, cut)
         assert list(zip(L[1 : ell + 1], U[1 : ell + 1])) == want, where
         return result
 
